@@ -88,11 +88,8 @@ struct LargeBench {
     events: u64,
     /// Measured-run wall-clock seconds.
     wall_sec: f64,
-    /// Simulated events per wall-clock second (calendar event queue).
+    /// Simulated events per wall-clock second.
     events_per_sec: f64,
-    /// Same run under `force_binary_heap_events` — the pre-calendar
-    /// queue, kept as an A/B reference (results are asserted identical).
-    events_per_sec_binary_heap: f64,
     /// Same run with the telemetry layer armed into a counting
     /// [`NullSink`] — the armed layer's intrinsic overhead (record
     /// construction + dispatch + epoch sampling). Results are asserted
@@ -148,22 +145,21 @@ fn peak_rss_bytes() -> u64 {
         .unwrap_or(0)
 }
 
-/// Runs the 48-pod gate scenario: warm-up, a measured run on the
-/// calendar event queue, an A/B run on the binary heap, and an A/B run
-/// with the intra-run component pool armed — every variant's
-/// `RunResult` must be bit-for-bit identical.
+/// Runs the 48-pod gate scenario: warm-up, a measured serial run, and
+/// A/B runs with the intra-run component pool, telemetry and live
+/// metrics armed — every variant's `RunResult` must be bit-for-bit
+/// identical.
 fn large_bench() -> LargeBench {
     const JOBS: usize = 40;
     const SEED: u64 = 42;
     let scenario = Scenario::bursty(StructureKind::FbTao, JOBS, 48, SEED);
     let jobs = scenario.jobs();
-    let run = |force_heap: bool, threads: usize| {
+    let run = |threads: usize| {
         let fabric = FatTree::new(scenario.pods).expect("valid pods");
         let mut sim = Simulation::new(
             fabric,
             SimConfig {
                 tick_interval: scenario.tick_interval,
-                force_binary_heap_events: force_heap,
                 threads,
                 ..SimConfig::default()
             },
@@ -171,19 +167,14 @@ fn large_bench() -> LargeBench {
         let mut sched = SchedulerKind::Gurita.build();
         sim.run(jobs.clone(), sched.as_mut())
     };
-    let _ = run(false, 1);
-    let (result, tp) = timed_run(|| run(false, 1));
-    let (heap_result, heap_tp) = timed_run(|| run(true, 1));
-    assert!(
-        result == heap_result,
-        "calendar queue and binary heap must produce identical results"
-    );
+    let _ = run(1);
+    let (result, tp) = timed_run(|| run(1));
     // Parallel A/B: the same run fanning each epoch's disjoint dirty
     // components across one worker per core. The determinism contract
     // (`SimConfig::threads`) says the results are bit-for-bit those of
     // the serial run; assert it at gate scale on every capture.
     let threads_used = gurita_sim::pool::effective_threads(0);
-    let (par_result, par_tp) = timed_run(|| run(false, 0));
+    let (par_result, par_tp) = timed_run(|| run(0));
     assert!(
         result == par_result,
         "parallel recomputation must produce identical results"
@@ -245,7 +236,6 @@ fn large_bench() -> LargeBench {
         events: result.events,
         wall_sec: tp.wall_sec,
         events_per_sec: tp.events_per_sec,
-        events_per_sec_binary_heap: heap_tp.events_per_sec,
         events_per_sec_telemetry: traced_tp.events_per_sec,
         telemetry_records: sink.records,
         events_per_sec_metrics: metrics_tp.events_per_sec,
@@ -623,7 +613,7 @@ fn main() {
     }
     println!(
         "large ({} pods, {} jobs): {} events in {:.3}s -> {:.0} events/sec \
-         (binary heap: {:.0}, telemetry armed: {:.0} over {} records, \
+         (telemetry armed: {:.0} over {} records, \
          metrics armed: {:.0}, parallel x{}: {:.0} = {:.2}x), \
          arena {} unique / {:.1} KiB, peak RSS {:.1} MiB",
         rep.large.pods,
@@ -631,7 +621,6 @@ fn main() {
         rep.large.events,
         rep.large.wall_sec,
         rep.large.events_per_sec,
-        rep.large.events_per_sec_binary_heap,
         rep.large.events_per_sec_telemetry,
         rep.large.telemetry_records,
         rep.large.events_per_sec_metrics,

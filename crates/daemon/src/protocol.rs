@@ -36,8 +36,9 @@ pub struct Request {
     /// Names of jobs that must complete before this one is admitted.
     #[serde(default)]
     pub depends_on: Vec<String>,
-    /// The job DAG to run (submit). Its id and arrival are assigned by
-    /// the daemon at admission time.
+    /// The job DAG to run (submit). The daemon assigns its id. Its
+    /// arrival is honoured if it lies in the future at admission and
+    /// clamped to the current virtual time otherwise.
     #[serde(default)]
     pub job: Option<JobSpec>,
 }
@@ -103,7 +104,7 @@ pub struct DaemonStats {
     pub open_flows: usize,
     /// Coflows currently active.
     pub open_coflows: usize,
-    /// Events pending in the engine's calendar.
+    /// Events pending in the engine's event queue.
     pub pending_events: usize,
     /// Jobs by registry state.
     pub jobs_held: usize,

@@ -282,7 +282,7 @@ impl HealthGauges {
             ),
             pending_events: g(
                 "gurita_engine_pending_events",
-                "Events pending in the engine's calendar.",
+                "Events pending in the engine's event queue.",
             ),
             vtime: g("gurita_engine_vtime_seconds", "Current virtual time."),
             jobs_held: g("gurita_registry_jobs_held", "Jobs gated on dependencies."),
@@ -625,6 +625,13 @@ fn do_submit<F: gurita_sim::topology::Fabric>(
     let Some(job) = req.job.as_ref() else {
         return Response::err("submit requires a job spec");
     };
+    // Validate before registering: a held job is only handed to the
+    // engine when its parents complete, and a rejection then would
+    // stop the serve loop. The registry assigns dense ids, so the next
+    // entry's index is the id this job will be admitted under.
+    if let Err(e) = engine.check_job(&job.with_id(registry.entries().len())) {
+        return Response::err(format!("invalid job: {e}"));
+    }
     match registry.submit(name, req.depends_on, job) {
         Ok(SubmitOutcome::Ready(id, spec)) => match admit(engine, registry, id, &spec) {
             Ok(()) => Response {

@@ -2,8 +2,8 @@
 //!
 //! Runs a small bursty FB-Tao workload on the full 27,648-host fat-tree
 //! under Gurita and checks the run drains, the path arena was actually
-//! exercised, and the calendar event queue matches the binary heap
-//! bit-for-bit at this scale.
+//! exercised, and parallel component recomputation matches the serial
+//! run bit-for-bit at this scale.
 //!
 //! `#[ignore]`d by default: the run takes a few seconds in release mode
 //! and much longer under `cargo test`'s default debug profile. CI runs
@@ -21,13 +21,12 @@ fn large_fabric_smoke() {
     let scenario = Scenario::bursty(StructureKind::FbTao, 8, 48, 7);
     let jobs = scenario.jobs();
     let expected_jobs = jobs.len();
-    let run = |force_heap: bool, threads: usize| {
+    let run = |threads: usize| {
         let fabric = FatTree::new(scenario.pods).expect("valid pods");
         let mut sim = Simulation::new(
             fabric,
             SimConfig {
                 tick_interval: scenario.tick_interval,
-                force_binary_heap_events: force_heap,
                 threads,
                 ..SimConfig::default()
             },
@@ -35,7 +34,7 @@ fn large_fabric_smoke() {
         let mut sched = SchedulerKind::Gurita.build();
         sim.run(jobs.clone(), sched.as_mut())
     };
-    let result = run(false, 1);
+    let result = run(1);
     assert_eq!(result.jobs.len(), expected_jobs, "all jobs must complete");
     assert!(result.makespan > 0.0);
     assert!(result.events > 0);
@@ -49,12 +48,7 @@ fn large_fabric_smoke() {
         result.path_arena_storage_bytes > 0,
         "interned routes must account for their backing storage"
     );
-    let heap_result = run(true, 1);
-    assert!(
-        result == heap_result,
-        "calendar queue must match the binary heap bit-for-bit at 48 pods"
-    );
-    let par_result = run(false, 0);
+    let par_result = run(0);
     assert!(
         result == par_result,
         "parallel component recomputation must match serial bit-for-bit at 48 pods"

@@ -22,15 +22,14 @@
 //! DESIGN.md.
 //!
 //! This crate is the workspace's one island of `unsafe`: every other
-//! crate carries `#![forbid(unsafe_code)]`, and the two erasures needed
-//! for a persistent pool over borrowed data (the lifetime-erased
-//! private task pointer and the per-slot [`PerWorker`] cells) live here
-//! behind safe-to-audit invariants.
+//! crate carries `#![forbid(unsafe_code)]`. The one erasure a persistent
+//! pool over borrowed data needs — the lifetime-erased private task
+//! pointer — lives here behind a safe-to-audit invariant. Callers keep
+//! per-slot scratch behind uncontended per-slot mutexes.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -92,7 +91,7 @@ struct Shared {
 /// [`WorkerPool::run`]`(n, f)` invokes `f(worker_slot, task_index)` for
 /// every `task_index in 0..n`, spread across `threads` workers (the
 /// caller participates as slot `0`; spawned workers use slots
-/// `1..threads`). Two invariants back the callers' `unsafe` blocks:
+/// `1..threads`). Callers rely on two invariants:
 ///
 /// * **Slot exclusivity** — at any instant, at most one thread is
 ///   executing `f` with a given `worker_slot`, so per-slot scratch
@@ -160,38 +159,7 @@ impl WorkerPool {
     /// Panics if any task panicked (the payload is replaced; workers
     /// survive and the pool stays usable).
     pub fn run(&self, n: usize, f: &(dyn Fn(usize, usize) + Sync)) {
-        self.run_with(n, f, || {});
-    }
-
-    /// [`WorkerPool::run`] with a producer phase overlapped on the
-    /// calling thread: the batch is published first, so the spawned
-    /// workers (slots `1..threads`) start claiming tasks while the
-    /// caller runs `produce()`; only then does the caller join as slot
-    /// `0` to drain whatever tasks remain, and finally waits for batch
-    /// completion.
-    ///
-    /// This is the pipelining primitive behind the engine's
-    /// BFS/allocate overlap: `produce` discovers work items (publishing
-    /// them through caller-owned shared state the tasks consume) while
-    /// the tasks already chew on earlier items. Both invariants of
-    /// [`WorkerPool::run`] hold unchanged — slot exclusivity (the
-    /// caller only ever acts as slot 0, and not before `produce`
-    /// returns) and batch confinement (`run_with` returns only after
-    /// every task finished, so `f` and `produce` may borrow from the
-    /// caller's stack).
-    ///
-    /// `produce` must not call back into the pool (batches are not
-    /// reentrant), and if it can unwind, the caller is responsible for
-    /// ensuring tasks still terminate (e.g. a drop guard closing the
-    /// work queue) — the unwind propagates only after the batch drains.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any task panicked, like [`WorkerPool::run`]. A panic
-    /// in `produce` propagates after every published task finished.
-    pub fn run_with(&self, n: usize, f: &(dyn Fn(usize, usize) + Sync), produce: impl FnOnce()) {
         if n == 0 {
-            produce();
             return;
         }
         let batch = {
@@ -210,11 +178,6 @@ impl WorkerPool {
             st.batch
         };
         self.shared.work.notify_all();
-        // Overlap phase: spawned workers are already claiming tasks.
-        // Catch an unwinding producer so the batch still drains (tasks
-        // may borrow the caller's frame; returning mid-batch would
-        // dangle them) and re-raise it afterwards.
-        let produced = catch_unwind(AssertUnwindSafe(produce));
         // Participate as slot 0 until the claim counter runs dry.
         drain_tasks(&self.shared, 0, batch, f);
         let panicked = {
@@ -225,9 +188,6 @@ impl WorkerPool {
             st.task = None;
             std::mem::replace(&mut st.panicked, false)
         };
-        if let Err(payload) = produced {
-            std::panic::resume_unwind(payload);
-        }
         if panicked {
             panic!("worker pool task panicked");
         }
@@ -302,57 +262,10 @@ fn worker_loop(shared: &Shared, slot: usize) {
     }
 }
 
-/// Per-worker-slot mutable scratch shareable across the pool's threads.
-///
-/// Wraps one `T` per worker slot in [`UnsafeCell`]s so a `&PerWorker`
-/// captured by a pool task can hand each worker exclusive mutable
-/// access to its own slot without locking.
-#[derive(Debug)]
-pub struct PerWorker<T> {
-    slots: Vec<UnsafeCell<T>>,
-}
-
-// Safety: distinct slots are distinct objects; a given slot is only
-// handed out under the pool's slot-exclusivity invariant (see
-// `PerWorker::slot`).
-unsafe impl<T: Send> Sync for PerWorker<T> {}
-
-impl<T> PerWorker<T> {
-    /// Builds `n` slots from `make` (called once per slot, in order).
-    pub fn new(n: usize, mut make: impl FnMut() -> T) -> Self {
-        Self {
-            slots: (0..n).map(|_| UnsafeCell::new(make())).collect(),
-        }
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the scratch has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Exclusive access to slot `i`.
-    ///
-    /// # Safety
-    ///
-    /// The caller must guarantee no two live references to the same
-    /// slot exist at once — satisfied when `i` is the task's
-    /// `worker_slot` under [`WorkerPool`]'s slot-exclusivity invariant
-    /// and the reference does not outlive the task invocation.
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn slot(&self, i: usize) -> &mut T {
-        &mut *self.slots[i].get()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[test]
     fn auto_detection_resolves_zero_to_cores() {
@@ -406,16 +319,21 @@ mod tests {
     #[test]
     fn worker_slots_stay_in_range_and_exclusive() {
         let pool = WorkerPool::new(3);
-        let scratch: PerWorker<u64> = PerWorker::new(3, || 0);
+        let in_use: Vec<AtomicBool> = (0..3).map(|_| AtomicBool::new(false)).collect();
+        let ran = AtomicUsize::new(0);
         pool.run(100, &|slot, _| {
             assert!(slot < 3);
-            // Safety: the pool never runs two tasks with one slot
-            // concurrently, and the reference dies with the task.
-            let cell = unsafe { scratch.slot(slot) };
-            *cell += 1;
+            // A second thread inside this slot would find the flag set.
+            assert!(
+                !in_use[slot].swap(true, Ordering::AcqRel),
+                "slot {slot} entered twice at once"
+            );
+            // Hold the slot long enough for sibling workers to overlap.
+            std::thread::sleep(std::time::Duration::from_micros(200));
+            ran.fetch_add(1, Ordering::Relaxed);
+            in_use[slot].store(false, Ordering::Release);
         });
-        let total: u64 = (0..3).map(|i| unsafe { *scratch.slot(i) }).sum();
-        assert_eq!(total, 100);
+        assert_eq!(ran.load(Ordering::Relaxed), 100);
     }
 
     #[test]
@@ -440,109 +358,6 @@ mod tests {
             sum.fetch_add(i, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 120);
-    }
-
-    #[test]
-    fn run_with_overlaps_producer_and_runs_every_task() {
-        let pool = WorkerPool::new(4);
-        let hits: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
-        let produced = AtomicUsize::new(0);
-        pool.run_with(
-            64,
-            &|_, i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            },
-            || {
-                produced.store(7, Ordering::Relaxed);
-            },
-        );
-        assert_eq!(produced.load(Ordering::Relaxed), 7);
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn run_with_zero_tasks_still_produces() {
-        let pool = WorkerPool::new(2);
-        let produced = AtomicUsize::new(0);
-        pool.run_with(0, &|_, _| {}, || {
-            produced.store(1, Ordering::Relaxed);
-        });
-        assert_eq!(produced.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn run_with_producer_consumer_queue_drains() {
-        // The intended usage shape: the producer feeds a shared queue
-        // that the batch's tasks consume until told it is closed —
-        // tasks must terminate and every produced item must be seen
-        // exactly once, regardless of interleaving.
-        use std::collections::VecDeque;
-        use std::sync::{Condvar, Mutex};
-        struct Queue {
-            state: Mutex<(VecDeque<usize>, bool)>,
-            cv: Condvar,
-        }
-        let pool = WorkerPool::new(3);
-        let q = Queue {
-            state: Mutex::new((VecDeque::new(), false)),
-            cv: Condvar::new(),
-        };
-        let seen: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-        pool.run_with(
-            pool.threads(),
-            &|_, _| loop {
-                let item = {
-                    let mut st = q.state.lock().unwrap();
-                    loop {
-                        if let Some(item) = st.0.pop_front() {
-                            break Some(item);
-                        }
-                        if st.1 {
-                            break None;
-                        }
-                        st = q.cv.wait(st).unwrap();
-                    }
-                };
-                match item {
-                    Some(i) => {
-                        seen[i].fetch_add(1, Ordering::Relaxed);
-                    }
-                    None => return,
-                }
-            },
-            || {
-                for i in 0..100 {
-                    q.state.lock().unwrap().0.push_back(i);
-                    q.cv.notify_one();
-                }
-                q.state.lock().unwrap().1 = true;
-                q.cv.notify_all();
-            },
-        );
-        assert!(seen.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn run_with_producer_panic_propagates_after_drain() {
-        let pool = WorkerPool::new(2);
-        let ran = AtomicUsize::new(0);
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run_with(
-                8,
-                &|_, _| {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                },
-                || panic!("producer boom"),
-            );
-        }));
-        assert!(caught.is_err(), "producer panic must propagate");
-        assert_eq!(ran.load(Ordering::Relaxed), 8, "batch drains first");
-        // Pool stays usable.
-        let sum = AtomicUsize::new(0);
-        pool.run(4, &|_, i| {
-            sum.fetch_add(i + 1, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 10);
     }
 
     #[test]

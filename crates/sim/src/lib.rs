@@ -71,7 +71,6 @@ pub mod telemetry;
 pub mod thresholds;
 pub mod topology;
 
-mod calendar;
 mod error;
 
 pub use error::SimError;

@@ -20,7 +20,6 @@
 //! only to flows that start later.
 
 use crate::bandwidth::{Allocator, Demands, Discipline};
-use crate::calendar::CalendarQueue;
 use crate::control::{Centralized, ControlInput, ControlPlane, LocalObservation};
 use crate::faults::{
     resalt_live_path, ControlFaultEvent, ControlFaults, FaultOverlay, FaultSchedule, TimedFault,
@@ -33,8 +32,8 @@ use crate::topology::{Fabric, LinkId, PathArena, PathRef};
 use crate::SimError;
 use gurita_model::{CoflowId, FlowId, HostId, JobId, JobSpec};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
-use std::sync::{Condvar, Mutex};
+use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::sync::Mutex;
 
 /// Simulation tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,20 +71,18 @@ pub struct SimConfig {
     /// flow↔link components of one recompute epoch — incremental *or*
     /// full-pass — are waterfilled concurrently on a scoped worker
     /// pool, each with its own [`Allocator`] scratch, and merged in
-    /// component-index order; large epochs additionally overlap the
-    /// component-discovery BFS with allocation (the caller discovers
-    /// component `i+1` while workers waterfill component `i`), and the
-    /// per-event flow-advance sweep fans over fixed index-ordered
-    /// chunks of the flow table. `1` (the default) runs everything on
-    /// the calling thread; `0` resolves to one worker per available
-    /// core (see [`crate::pool::effective_threads`]).
+    /// component-index order, and the per-event flow-advance sweep fans
+    /// over fixed index-ordered chunks of the flow table. Component
+    /// discovery always runs on the calling thread, before allocation.
+    /// `1` (the default) runs everything on the calling thread; `0`
+    /// resolves to one worker per available core (see
+    /// [`crate::pool::effective_threads`]).
     ///
     /// Results are **bit-for-bit identical** at every thread count:
     /// every epoch waterfills per component (components are disjoint by
     /// construction, so each call sees exactly the same demand
     /// subsequence, link capacities, and discipline regardless of where
-    /// or when it runs), streamed discovery assembles results in
-    /// discovery-index order, and the fanned advance updates each flow
+    /// or when it runs), and the fanned advance updates each flow
     /// independently with link-byte accounting merged in chunk order.
     /// Parallelism only changes wall-clock time — pinned by the
     /// serial-vs-parallel equality property tests, including forced
@@ -99,13 +96,6 @@ pub struct SimConfig {
     /// traffic — result-identical to the centralized adapter for ported
     /// schemes. Ignored by [`crate::control::Centralized`].
     pub control_latency: f64,
-    /// Use the classic `BinaryHeap` event queue instead of the bucketed
-    /// calendar queue. Off by default; the calendar queue pops events in
-    /// the exact `(time, seq)` order the heap does, so results are
-    /// bit-for-bit identical either way — this knob exists as a safety
-    /// valve and as the reference behavior for the equivalence property
-    /// tests, mirroring [`SimConfig::force_full_recompute`].
-    pub force_binary_heap_events: bool,
     /// Arms the telemetry layer (see [`crate::telemetry`]): lifecycle
     /// event tracing and epoch-sampled time series, delivered to the
     /// sink passed to a `*_traced` entry point such as
@@ -134,7 +124,6 @@ impl Default for SimConfig {
             force_full_recompute: false,
             threads: 1,
             control_latency: 0.0,
-            force_binary_heap_events: false,
             telemetry: None,
             control_faults: None,
         }
@@ -142,7 +131,7 @@ impl Default for SimConfig {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum EventKind {
+enum EventKind {
     JobArrival(JobId),
     Tick,
     Completion {
@@ -171,10 +160,10 @@ pub(crate) enum EventKind {
 }
 
 #[derive(Debug)]
-pub(crate) struct Event {
-    pub(crate) time: f64,
-    pub(crate) seq: u64,
-    pub(crate) kind: EventKind,
+struct Event {
+    time: f64,
+    seq: u64,
+    kind: EventKind,
 }
 
 impl PartialEq for Event {
@@ -196,65 +185,6 @@ impl Ord for Event {
             .partial_cmp(&self.time)
             .unwrap_or(Ordering::Equal)
             .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// The pending-event set: a bucketed [`CalendarQueue`] by default (O(1)
-/// amortized), or the classic binary heap when
-/// [`SimConfig::force_binary_heap_events`] is set. Both pop in the exact
-/// same `(time, seq)` order.
-#[derive(Debug)]
-enum EventQueue {
-    Heap(BinaryHeap<Event>),
-    Calendar(CalendarQueue),
-}
-
-impl EventQueue {
-    fn new(force_heap: bool) -> Self {
-        if force_heap {
-            EventQueue::Heap(BinaryHeap::new())
-        } else {
-            EventQueue::Calendar(CalendarQueue::new())
-        }
-    }
-
-    fn push(&mut self, ev: Event) {
-        match self {
-            EventQueue::Heap(h) => h.push(ev),
-            EventQueue::Calendar(c) => c.push(ev),
-        }
-    }
-
-    fn pop(&mut self) -> Option<Event> {
-        match self {
-            EventQueue::Heap(h) => h.pop(),
-            EventQueue::Calendar(c) => c.pop(),
-        }
-    }
-
-    fn any(&self, mut f: impl FnMut(&Event) -> bool) -> bool {
-        match self {
-            EventQueue::Heap(h) => h.iter().any(&mut f),
-            EventQueue::Calendar(c) => c.any(f),
-        }
-    }
-
-    /// Timestamp of the next event without removing it (the calendar may
-    /// advance its window cursor, which never changes pop order). Drives
-    /// [`Engine::run_until`]'s horizon check.
-    fn next_time(&mut self) -> Option<f64> {
-        match self {
-            EventQueue::Heap(h) => h.peek().map(|e| e.time),
-            EventQueue::Calendar(c) => c.next_time(),
-        }
-    }
-
-    /// Pending events (telemetry epoch samples).
-    fn len(&self) -> usize {
-        match self {
-            EventQueue::Heap(h) => h.len(),
-            EventQueue::Calendar(c) => c.len(),
-        }
     }
 }
 
@@ -729,66 +659,6 @@ const PAR_MIN_ADVANCE_FLOWS: usize = 1024;
 /// cache-line-sized tasks.
 const MIN_ADVANCE_CHUNK: usize = 256;
 
-/// Minimum dirty seed links before an incremental epoch takes the
-/// streamed (BFS-overlapped) recompute path; smaller epochs — the
-/// common completion/arrival case touching one short path — collect
-/// their components first and then decide serial vs fanned as before.
-/// Wall-clock heuristic only: the streamed path discovers the same
-/// components in the same order and waterfills them with the same pure
-/// per-component calls.
-const PAR_MIN_SEED_LINKS: usize = 48;
-
-/// Split-borrow scratch for the flow↔link component BFS, shared by the
-/// batch collectors ([`Engine::collect_component`],
-/// [`Engine::collect_full_components`]) and the streamed producer in
-/// [`Engine::recompute_streamed`]. Expanding a link validates its
-/// `link_flows` adjacency entries and compacts stale ones in place,
-/// exactly as the pre-split inline BFS did.
-struct ComponentBfs<'a> {
-    flows: &'a [FlowState],
-    paths: &'a [PathRef],
-    flow_pos: &'a FlowPosMap,
-    arena: &'a PathArena,
-    link_flows: &'a mut [Vec<FlowId>],
-    flow_mark: &'a mut [u64],
-    link_mark: &'a mut [u64],
-    stack: &'a mut Vec<usize>,
-}
-
-impl ComponentBfs<'_> {
-    /// Drains the stack, appending every newly reached flow position to
-    /// `out` (discovery order; callers sort the finished group).
-    fn expand(&mut self, epoch: u64, out: &mut Vec<usize>) {
-        while let Some(li) = self.stack.pop() {
-            // Take the adjacency list out so we can mutate marks while
-            // validating entries; put the compacted list back.
-            let mut list = std::mem::take(&mut self.link_flows[li]);
-            list.retain(|fid| {
-                let Some(pos) = self.flow_pos.get(*fid) else {
-                    return false; // completed
-                };
-                let path = self.arena.get(self.paths[pos]);
-                if self.flows[pos].parked || !path.iter().any(|l| l.index() == li) {
-                    return false; // parked or rerouted away
-                }
-                if self.flow_mark[pos] != epoch {
-                    self.flow_mark[pos] = epoch;
-                    out.push(pos);
-                    for l in path {
-                        let lj = l.index();
-                        if self.link_mark[lj] != epoch {
-                            self.link_mark[lj] = epoch;
-                            self.stack.push(lj);
-                        }
-                    }
-                }
-                true
-            });
-            self.link_flows[li] = list;
-        }
-    }
-}
-
 /// Union-find `find` with path halving; indices are flow-table
 /// positions, roots satisfy `parent[x] == x`. Used by the full-pass
 /// component grouping (see [`Engine::collect_full_components`]).
@@ -800,41 +670,6 @@ fn uf_find(parent: &mut [u32], mut x: u32) -> u32 {
         x = grand;
     }
     x
-}
-
-/// One connected component streamed from the BFS producer to the
-/// waterfill workers: membership (sorted flow-table positions) plus a
-/// recycled output buffer the worker fills with rates.
-struct CompJob {
-    index: usize,
-    positions: Vec<usize>,
-    rates: Vec<f64>,
-}
-
-/// A waterfilled component on its way back from a worker; `index`
-/// restores discovery order so assembly is schedule-independent.
-struct CompResult {
-    index: usize,
-    positions: Vec<usize>,
-    rates: Vec<f64>,
-    touched: usize,
-    passes: u64,
-}
-
-/// Closes the streamed-component queue when the producer returns *or
-/// unwinds*: workers blocked in `Condvar::wait` must always observe
-/// `done`, or `WorkerPool::run_with` would never drain the batch.
-struct CloseOnDrop<'a> {
-    queue: &'a Mutex<(VecDeque<CompJob>, bool)>,
-    ready: &'a Condvar,
-}
-
-impl Drop for CloseOnDrop<'_> {
-    fn drop(&mut self) {
-        // Recover from poisoning: this guard may run while unwinding.
-        self.queue.lock().unwrap_or_else(|e| e.into_inner()).1 = true;
-        self.ready.notify_all();
-    }
 }
 
 /// Dense flow-id → flow-table position map. Flow ids are handed out
@@ -949,7 +784,7 @@ pub struct Engine<'a, F: Fabric> {
     plane: &'a mut dyn ControlPlane,
     specs: HashMap<JobId, JobSpec>,
 
-    queue: EventQueue,
+    queue: BinaryHeap<Event>,
     seq: u64,
     now: f64,
     events: u64,
@@ -1058,13 +893,6 @@ pub struct Engine<'a, F: Fabric> {
     comp_bounds: Vec<usize>,
     /// Rate output buffer for the allocator (scratch).
     rate_buf: Vec<f64>,
-    /// Recycled per-component flow-position buffers for the streamed
-    /// (BFS-overlapped) recompute path (scratch; see
-    /// [`Engine::recompute_streamed`]).
-    comp_pos_bufs: Vec<Vec<usize>>,
-    /// Recycled per-component rate buffers for the streamed path
-    /// (scratch).
-    comp_rate_bufs: Vec<Vec<f64>>,
     /// Recycled per-chunk sparse `(link, bytes)` accumulators for the
     /// fanned stats-on advance sweep (scratch).
     advance_stat_bufs: Vec<Vec<(u32, f64)>>,
@@ -1081,7 +909,7 @@ pub struct Engine<'a, F: Fabric> {
     /// Links touched / waterfill passes summed over the most recent
     /// recompute epoch's allocator calls, in component-index order —
     /// the telemetry view stays coherent whether the epoch ran
-    /// per-component serial, batch-parallel, or streamed.
+    /// per-component serial or fanned over the pool.
     last_alloc_touched: usize,
     last_alloc_passes: u64,
     /// Lazy completion index: predicted finish times keyed by rate stamp.
@@ -1107,7 +935,7 @@ impl<'a, F: Fabric> Engine<'a, F> {
         faults: &FaultSchedule,
         sink: Option<&'a mut dyn TelemetrySink>,
     ) -> Self {
-        let mut queue = EventQueue::new(config.force_binary_heap_events);
+        let mut queue = BinaryHeap::new();
         let mut seq = 0u64;
         let remaining_jobs = jobs.len();
         let mut specs = HashMap::with_capacity(jobs.len());
@@ -1202,8 +1030,6 @@ impl<'a, F: Fabric> Engine<'a, F> {
             component: Vec::new(),
             comp_bounds: Vec::new(),
             rate_buf: Vec::new(),
-            comp_pos_bufs: Vec::new(),
-            comp_rate_bufs: Vec::new(),
             advance_stat_bufs: Vec::new(),
             threads,
             pool: (threads > 1).then(|| WorkerPool::new(threads)),
@@ -1372,7 +1198,7 @@ impl<'a, F: Fabric> Engine<'a, F> {
     pub fn run_until(&mut self, horizon: f64) -> Result<StepOutcome, SimError> {
         self.ensure_started();
         loop {
-            match self.queue.next_time() {
+            match self.queue.peek().map(|e| e.time) {
                 Some(t) if t <= horizon => {
                     // Keep draining even past a transient drain: stale
                     // ticks/completions inside the horizon are popped so
@@ -1515,12 +1341,39 @@ impl<'a, F: Fabric> Engine<'a, F> {
     ///
     /// # Errors
     ///
+    /// Those of [`Engine::check_job`], which runs first: a rejected job
+    /// leaves the engine untouched.
+    pub fn submit_job(&mut self, spec: JobSpec) -> Result<JobId, SimError> {
+        self.check_job(&spec)?;
+        let id = spec.id();
+        let spec = if spec.arrival() < self.now {
+            spec.with_arrival(self.now)
+        } else {
+            spec
+        };
+        self.queue.push(Event {
+            time: spec.arrival(),
+            seq: self.seq,
+            kind: EventKind::JobArrival(id),
+        });
+        self.seq += 1;
+        self.specs.insert(id, spec);
+        self.remaining_jobs += 1;
+        Ok(id)
+    }
+
+    /// Checks that [`Engine::submit_job`] would accept `spec`, without
+    /// admitting it. Lets a caller that holds a job back (e.g. behind
+    /// unmet dependencies) reject it at submission instead of at
+    /// release.
+    ///
+    /// # Errors
+    ///
     /// * [`SimError::DuplicateJob`] if the id was ever submitted before
     ///   (pending, running, completed, or cancelled);
     /// * [`SimError::UnknownHost`] if a flow endpoint is outside the
-    ///   fabric. Validation happens up front: a rejected job leaves the
-    ///   engine untouched.
-    pub fn submit_job(&mut self, spec: JobSpec) -> Result<JobId, SimError> {
+    ///   fabric.
+    pub fn check_job(&self, spec: &JobSpec) -> Result<(), SimError> {
         let id = spec.id();
         if self.specs.contains_key(&id)
             || self.completed_at.contains_key(&id)
@@ -1541,20 +1394,7 @@ impl<'a, F: Fabric> Engine<'a, F> {
                 }
             }
         }
-        let spec = if spec.arrival() < self.now {
-            spec.with_arrival(self.now)
-        } else {
-            spec
-        };
-        self.queue.push(Event {
-            time: spec.arrival(),
-            seq: self.seq,
-            kind: EventKind::JobArrival(id),
-        });
-        self.seq += 1;
-        self.specs.insert(id, spec);
-        self.remaining_jobs += 1;
-        Ok(id)
+        Ok(())
     }
 
     /// Cancels a job: a pending job simply never activates; a running
@@ -2167,6 +2007,7 @@ impl<'a, F: Fabric> Engine<'a, F> {
         }
         let can_change = self
             .queue
+            .iter()
             .any(|e| matches!(e.kind, EventKind::JobArrival(_) | EventKind::Fault { .. }));
         if can_change {
             Ok(())
@@ -2671,36 +2512,64 @@ impl<'a, F: Fabric> Engine<'a, F> {
         self.component.clear();
         self.comp_bounds.clear();
         self.comp_bounds.push(0);
-        let epoch = self.begin_bfs_epoch();
-        // Take the seed list out so the BFS below can borrow the rest
-        // of `self`; hand the allocation back (cleared) afterwards.
-        let seeds = std::mem::take(&mut self.dirty.links);
-        let mut bfs = ComponentBfs {
-            flows: &self.flows,
-            paths: &self.hot.path,
-            flow_pos: &self.flow_pos,
-            arena: &self.arena,
-            link_flows: &mut self.link_flows,
-            flow_mark: &mut self.flow_mark,
-            link_mark: &mut self.link_mark,
-            stack: &mut self.bfs_stack,
-        };
-        for &seed in &seeds {
-            if bfs.link_mark[seed] == epoch {
+        self.mark_epoch += 1;
+        let epoch = self.mark_epoch;
+        if self.flow_mark.len() < self.flows.len() {
+            self.flow_mark.resize(self.flows.len(), 0);
+        }
+        self.bfs_stack.clear();
+        // Split borrows: the BFS mutates the marks, its stack and the
+        // `link_flows` lists while reading the flow table.
+        let flows = &self.flows;
+        let paths = &self.hot.path;
+        let flow_pos = &self.flow_pos;
+        let arena = &self.arena;
+        let link_flows = &mut self.link_flows;
+        let flow_mark = &mut self.flow_mark;
+        let link_mark = &mut self.link_mark;
+        let stack = &mut self.bfs_stack;
+        let component = &mut self.component;
+        for &seed in &self.dirty.links {
+            if link_mark[seed] == epoch {
                 continue; // joins a component already collected
             }
-            bfs.link_mark[seed] = epoch;
-            bfs.stack.push(seed);
-            let start = self.component.len();
-            bfs.expand(epoch, &mut self.component);
-            if self.component.len() > start {
+            link_mark[seed] = epoch;
+            stack.push(seed);
+            let start = component.len();
+            while let Some(li) = stack.pop() {
+                // Take the adjacency list out so we can mutate marks
+                // while validating entries; put the compacted list back.
+                let mut list = std::mem::take(&mut link_flows[li]);
+                list.retain(|fid| {
+                    let Some(pos) = flow_pos.get(*fid) else {
+                        return false; // completed
+                    };
+                    let path = arena.get(paths[pos]);
+                    if flows[pos].parked || !path.iter().any(|l| l.index() == li) {
+                        return false; // parked or rerouted away
+                    }
+                    if flow_mark[pos] != epoch {
+                        flow_mark[pos] = epoch;
+                        component.push(pos);
+                        for l in path {
+                            let lj = l.index();
+                            if link_mark[lj] != epoch {
+                                link_mark[lj] = epoch;
+                                stack.push(lj);
+                            }
+                        }
+                    }
+                    true
+                });
+                link_flows[li] = list;
+            }
+            if component.len() > start {
                 // Ascending flow-table order within the component so its
                 // demand sequence is independent of BFS visit order.
-                self.component[start..].sort_unstable();
-                self.comp_bounds.push(self.component.len());
+                component[start..].sort_unstable();
+                self.comp_bounds.push(component.len());
             }
         }
-        self.dirty.links = seeds;
         self.dirty.links.clear();
     }
 
@@ -2838,17 +2707,6 @@ impl<'a, F: Fabric> Engine<'a, F> {
         }
     }
 
-    /// Bumps the shared mark epoch and readies the BFS scratch
-    /// (flow-mark table sized to the flow table, empty stack).
-    fn begin_bfs_epoch(&mut self) -> u64 {
-        self.mark_epoch += 1;
-        if self.flow_mark.len() < self.flows.len() {
-            self.flow_mark.resize(self.flows.len(), 0);
-        }
-        self.bfs_stack.clear();
-        self.mark_epoch
-    }
-
     /// Drops invalidated completion-index entries once garbage dominates,
     /// keeping the heap O(live flows) without an O(log n) delete.
     fn rebuild_finish_heap(&mut self) {
@@ -2921,84 +2779,69 @@ impl<'a, F: Fabric> Engine<'a, F> {
                 }
             }
         }
-        // Component discovery + allocation. Incremental passes with a
-        // pool and enough seed links stream the (expensive, adjacency-
-        // validating) BFS against the waterfill workers — the caller
-        // discovers component i+1 while workers allocate component i.
-        // Full passes never stream: their union-find grouping is a few
-        // linear sweeps (no adjacency work to hide, and a later flow
-        // can merge two earlier groups, so no component is final until
-        // the union sweep ends); they batch-collect and then fan or
-        // loop like any other pass. Both orders produce the same
-        // `component` / `comp_bounds` / `rate_buf` triple bit-for-bit.
-        let streamed = !full && self.pool.is_some() && self.dirty.links.len() >= PAR_MIN_SEED_LINKS;
-        if streamed {
-            self.recompute_streamed(&discipline);
+        // Component discovery, then allocation: one waterfill for a lone
+        // component, else the per-component loop, serial or fanned over
+        // the pool — the same rates bit-for-bit either way.
+        if full {
+            self.dirty.links.clear();
+            self.collect_full_components();
         } else {
-            if full {
-                self.dirty.links.clear();
-                self.collect_full_components();
-            } else {
-                self.collect_component();
-            }
-            if self.component.is_empty() {
-                return;
-            }
-            self.rate_buf.clear();
-            self.rate_buf.resize(self.component.len(), 0.0);
-            let ncomp = self.comp_bounds.len() - 1;
-            if ncomp == 1 {
-                // One component: a single waterfill, on the engine's own
-                // allocator — identical at every thread count.
+            self.collect_component();
+        }
+        if self.component.is_empty() {
+            return;
+        }
+        self.rate_buf.clear();
+        self.rate_buf.resize(self.component.len(), 0.0);
+        let ncomp = self.comp_bounds.len() - 1;
+        if ncomp == 1 {
+            // One component: a single waterfill, on the engine's own
+            // allocator — identical at every thread count.
+            let view = FlowDemandView {
+                flows: &self.flows,
+                paths: &self.hot.path,
+                subset: &self.component,
+                arena: &self.arena,
+            };
+            let fabric = self.fabric;
+            let overlay = &self.overlay;
+            self.allocator.allocate_into(
+                &view,
+                |l| fabric.link_capacity(l) * overlay.scale(l),
+                &discipline,
+                &mut self.rate_buf,
+            );
+            self.last_alloc_touched = self.allocator.last_touched_links();
+            self.last_alloc_passes = self.allocator.last_waterfill_passes();
+        } else if self.pool.is_some() && self.component.len() >= PAR_MIN_FLOWS {
+            self.recompute_components_parallel(&discipline);
+        } else {
+            // Per-component serial loop: the reference the pool
+            // fan-out must match bit-for-bit. Components are disjoint
+            // in both flows and links, so each call's inputs — and
+            // hence its output rates — are independent of the other
+            // components entirely.
+            self.last_alloc_touched = 0;
+            self.last_alloc_passes = 0;
+            let fabric = self.fabric;
+            for c in 0..ncomp {
+                let (s, e) = (self.comp_bounds[c], self.comp_bounds[c + 1]);
                 let view = FlowDemandView {
                     flows: &self.flows,
                     paths: &self.hot.path,
-                    subset: &self.component,
+                    subset: &self.component[s..e],
                     arena: &self.arena,
                 };
-                let fabric = self.fabric;
                 let overlay = &self.overlay;
                 self.allocator.allocate_into(
                     &view,
                     |l| fabric.link_capacity(l) * overlay.scale(l),
                     &discipline,
-                    &mut self.rate_buf,
+                    &mut self.rate_buf[s..e],
                 );
-                self.last_alloc_touched = self.allocator.last_touched_links();
-                self.last_alloc_passes = self.allocator.last_waterfill_passes();
-            } else if self.pool.is_some() && self.component.len() >= PAR_MIN_FLOWS {
-                self.recompute_components_parallel(&discipline);
-            } else {
-                // Per-component serial loop: the reference the parallel
-                // branches must match bit-for-bit. Components are
-                // disjoint in both flows and links, so each call's
-                // inputs — and hence its output rates — are independent
-                // of the other components entirely.
-                self.last_alloc_touched = 0;
-                self.last_alloc_passes = 0;
-                let fabric = self.fabric;
-                for c in 0..ncomp {
-                    let (s, e) = (self.comp_bounds[c], self.comp_bounds[c + 1]);
-                    let view = FlowDemandView {
-                        flows: &self.flows,
-                        paths: &self.hot.path,
-                        subset: &self.component[s..e],
-                        arena: &self.arena,
-                    };
-                    let overlay = &self.overlay;
-                    self.allocator.allocate_into(
-                        &view,
-                        |l| fabric.link_capacity(l) * overlay.scale(l),
-                        &discipline,
-                        &mut self.rate_buf[s..e],
-                    );
-                    self.last_alloc_touched += self.allocator.last_touched_links();
-                    self.last_alloc_passes += self.allocator.last_waterfill_passes();
-                }
+                self.last_alloc_touched += self.allocator.last_touched_links();
+                self.last_alloc_passes += self.allocator.last_waterfill_passes();
             }
-        }
-        if self.component.is_empty() {
-            return;
         }
         let ncomp = self.comp_bounds.len() - 1;
         if self.probe.on() {
@@ -3105,181 +2948,6 @@ impl<'a, F: Fabric> Engine<'a, F> {
         if self.probe.on() {
             self.probe.parallel_epochs += 1;
         }
-    }
-
-    /// Streamed incremental recompute: overlaps component *discovery*
-    /// with component *allocation*. The caller thread runs the
-    /// seed-link BFS (it owns the mutable marks and `link_flows`
-    /// compaction) and hands each finished component through a queue to
-    /// the pool workers, which waterfill it into a recycled buffer
-    /// while the caller is already discovering the next one. After the
-    /// BFS finishes the caller drains the queue too (as worker slot 0).
-    /// Full passes never come here — their union-find grouping has no
-    /// discovery cost worth hiding (see
-    /// [`Engine::collect_full_components`]).
-    ///
-    /// Determinism: components get their index in discovery order —
-    /// the same order the batch collectors produce — and results are
-    /// sorted by that index before `component` / `comp_bounds` /
-    /// `rate_buf` are assembled, so the triple is byte-identical to the
-    /// batch path's regardless of which worker ran which component
-    /// when. Each waterfill is the same pure per-component call.
-    fn recompute_streamed(&mut self, discipline: &Discipline) {
-        let epoch = self.begin_bfs_epoch();
-        let fabric = self.fabric;
-        if self.worker_alloc.len() < self.threads {
-            self.worker_alloc.resize_with(self.threads, || {
-                Mutex::new(Allocator::new(fabric.num_links()))
-            });
-        }
-        let seeds = std::mem::take(&mut self.dirty.links);
-        // Recycled membership / rate buffers ride along inside the jobs
-        // and come back via the results, so steady state allocates
-        // nothing.
-        let pos_pool = Mutex::new(std::mem::take(&mut self.comp_pos_bufs));
-        let rate_pool = Mutex::new(std::mem::take(&mut self.comp_rate_bufs));
-        let queue: Mutex<(VecDeque<CompJob>, bool)> = Mutex::new((VecDeque::new(), false));
-        let ready = Condvar::new();
-        let results: Mutex<Vec<CompResult>> = Mutex::new(Vec::new());
-        {
-            let flows = &self.flows;
-            let paths = &self.hot.path;
-            let arena = &self.arena;
-            let overlay = &self.overlay;
-            let scratch = &self.worker_alloc;
-            let (queue, ready, results) = (&queue, &ready, &results);
-            // Each of the `threads` tasks is a drain loop: pop a
-            // component, waterfill it, repeat until the queue is closed
-            // and empty.
-            let task = |slot: usize, _task: usize| loop {
-                let job = {
-                    let mut st = queue.lock().expect("component queue poisoned");
-                    loop {
-                        if let Some(j) = st.0.pop_front() {
-                            break Some(j);
-                        }
-                        if st.1 {
-                            break None;
-                        }
-                        st = ready.wait(st).expect("component queue poisoned");
-                    }
-                };
-                let Some(mut job) = job else { return };
-                job.rates.clear();
-                job.rates.resize(job.positions.len(), 0.0);
-                let view = FlowDemandView {
-                    flows,
-                    paths,
-                    subset: &job.positions,
-                    arena,
-                };
-                let mut alloc = scratch[slot].lock().expect("worker scratch poisoned");
-                alloc.allocate_into(
-                    &view,
-                    |l| fabric.link_capacity(l) * overlay.scale(l),
-                    discipline,
-                    &mut job.rates,
-                );
-                let (touched, passes) = (alloc.last_touched_links(), alloc.last_waterfill_passes());
-                drop(alloc);
-                results.lock().expect("results poisoned").push(CompResult {
-                    index: job.index,
-                    positions: job.positions,
-                    rates: job.rates,
-                    touched,
-                    passes,
-                });
-            };
-            let mut bfs = ComponentBfs {
-                flows,
-                paths,
-                flow_pos: &self.flow_pos,
-                arena,
-                link_flows: &mut self.link_flows,
-                flow_mark: &mut self.flow_mark,
-                link_mark: &mut self.link_mark,
-                stack: &mut self.bfs_stack,
-            };
-            let (pos_pool, rate_pool, seeds) = (&pos_pool, &rate_pool, &seeds);
-            let produce = move || {
-                // Close the queue even if discovery unwinds — blocked
-                // workers must terminate for run_with to return.
-                let _close = CloseOnDrop { queue, ready };
-                let mut next = 0usize;
-                let mut emit = |positions: Vec<usize>| {
-                    let rates = rate_pool
-                        .lock()
-                        .expect("rate pool poisoned")
-                        .pop()
-                        .unwrap_or_default();
-                    let mut st = queue.lock().expect("component queue poisoned");
-                    st.0.push_back(CompJob {
-                        index: next,
-                        positions,
-                        rates,
-                    });
-                    next += 1;
-                    drop(st);
-                    ready.notify_one();
-                };
-                let take_buf = || {
-                    let mut b: Vec<usize> = pos_pool
-                        .lock()
-                        .expect("pos pool poisoned")
-                        .pop()
-                        .unwrap_or_default();
-                    b.clear();
-                    b
-                };
-                for &seed in seeds {
-                    if bfs.link_mark[seed] == epoch {
-                        continue; // joins a component already collected
-                    }
-                    bfs.link_mark[seed] = epoch;
-                    bfs.stack.push(seed);
-                    let mut out = take_buf();
-                    bfs.expand(epoch, &mut out);
-                    if out.is_empty() {
-                        pos_pool.lock().expect("pos pool poisoned").push(out);
-                        continue;
-                    }
-                    out.sort_unstable();
-                    emit(out);
-                }
-            };
-            let pool = self.pool.as_ref().expect("caller checked");
-            pool.run_with(self.threads, &task, produce);
-            if self.probe.on() {
-                self.probe.parallel_epochs += 1;
-            }
-        }
-        self.dirty.links = seeds;
-        self.dirty.links.clear();
-        // Assemble in discovery order: byte-identical to the batch path.
-        let mut results = results.into_inner().expect("results poisoned");
-        results.sort_unstable_by_key(|r| r.index);
-        self.component.clear();
-        self.comp_bounds.clear();
-        self.comp_bounds.push(0);
-        self.rate_buf.clear();
-        self.last_alloc_touched = 0;
-        self.last_alloc_passes = 0;
-        let mut pos_bufs = pos_pool.into_inner().expect("pos pool poisoned");
-        let mut rate_bufs = rate_pool.into_inner().expect("rate pool poisoned");
-        for r in results {
-            self.component.extend_from_slice(&r.positions);
-            self.rate_buf.extend_from_slice(&r.rates);
-            self.comp_bounds.push(self.component.len());
-            self.last_alloc_touched += r.touched;
-            self.last_alloc_passes += r.passes;
-            let (mut p, mut rt) = (r.positions, r.rates);
-            p.clear();
-            rt.clear();
-            pos_bufs.push(p);
-            rate_bufs.push(rt);
-        }
-        self.comp_pos_bufs = pos_bufs;
-        self.comp_rate_bufs = rate_bufs;
     }
 
     /// Starvation-watch bookkeeping: one flow of `cid` crossed the
@@ -3470,6 +3138,24 @@ mod tests {
     use crate::sched::FifoScheduler;
     use crate::topology::BigSwitch;
     use gurita_model::{units::MB, CoflowSpec, FlowSpec, HostId, JobDag};
+
+    #[test]
+    fn event_heap_pops_in_time_then_seq_order() {
+        let mut q = BinaryHeap::new();
+        for (time, seq) in [(3.0, 0), (1.0, 1), (2.0, 2), (1.0, 3), (0.5, 4)] {
+            q.push(Event {
+                time,
+                seq,
+                kind: EventKind::Tick,
+            });
+        }
+        let order: Vec<(f64, u64)> =
+            std::iter::from_fn(|| q.pop().map(|e| (e.time, e.seq))).collect();
+        assert_eq!(
+            order,
+            vec![(0.5, 4), (1.0, 1), (1.0, 3), (2.0, 2), (3.0, 0)]
+        );
+    }
 
     fn single_flow_job(id: usize, arrival: f64, src: usize, dst: usize, bytes: f64) -> JobSpec {
         JobSpec::new(

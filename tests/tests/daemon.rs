@@ -139,6 +139,37 @@ fn rejections_and_cancel_cascade() {
     daemon.join().unwrap().unwrap();
 }
 
+/// A held job is validated at submission, not at release: a spec with
+/// an out-of-range host is refused up front, so the daemon never meets
+/// it when the parent completes and keeps serving through the drain.
+#[test]
+fn held_job_with_unknown_host_is_refused_at_submit() {
+    let (_socket, daemon, mut client) = start("badhost", SchedulerKind::Gurita, TEST_PACE);
+
+    client.submit("a", &[], &job(4, 8.0)).unwrap();
+    let bad = JobSpec::new(
+        0,
+        0.0,
+        vec![CoflowSpec::new(vec![FlowSpec::new(
+            HostId(0),
+            HostId(10_000),
+            1e6,
+        )])],
+        JobDag::chain(1).unwrap(),
+    )
+    .unwrap();
+    assert!(
+        client.submit("b", &["a".into()], &bad).is_err(),
+        "a job naming a host outside the fabric must be refused"
+    );
+    assert!(client.status("b").is_err(), "refused job is not registered");
+
+    let stats = client.drain().unwrap();
+    assert_eq!(stats.jobs_done, 1, "a completes");
+    assert_eq!(stats.jobs_held + stats.jobs_queued + stats.jobs_running, 0);
+    daemon.join().unwrap().unwrap();
+}
+
 /// Observability end to end: a daemon with `--trace-out` and
 /// `--metrics-out` answers live `metrics` queries over the socket
 /// mid-session, and on drain flushes all three artifacts — the JSONL
