@@ -90,8 +90,11 @@ pub enum Discipline {
         num_queues: usize,
     },
     /// Weighted round robin: queue `q` of every link is served in
-    /// proportion to `weights[q]`. Weights must be positive; they are
-    /// normalized internally.
+    /// proportion to `weights[q]` among the queues with traffic on that
+    /// link. Weights must be positive and finite; only their ratios
+    /// matter, so they need not sum to one. A demand set whose flows all
+    /// sit in one queue is allocated without reading the weights at all
+    /// (see [`Allocator::allocate_into`]).
     WeightedRoundRobin {
         /// Per-queue service weights (index 0 = highest priority queue).
         weights: Vec<f64>,
@@ -255,6 +258,15 @@ impl Allocator {
     /// `capacity(l)` bytes per second. Demands with an empty path get
     /// `f64::INFINITY` (they complete instantly in the fluid model).
     ///
+    /// A demand set whose flows all sit in one queue is allocated with a
+    /// single unit-weight waterfill under either discipline. Under WRR
+    /// the per-(flow, link) weights `w_q / n_{q,l}` of such a set cancel
+    /// from every candidate rate in exact arithmetic, so this is the same
+    /// max-min allocation; computing it without the weights also makes
+    /// its bits independent of them, which lets the engine keep a
+    /// one-queue component's rates when only the weights change. Under
+    /// SPQ it is exactly the pass the per-queue loop would run.
+    ///
     /// # Panics
     ///
     /// Panics if `rates.len() != demands.len()`, if a demand's queue
@@ -286,9 +298,11 @@ impl Allocator {
         self.dense_paths.clear();
         self.spans.clear();
         self.queues.clear();
+        let mut one_queue = true;
         for i in 0..n {
             let q = demands.queue(i);
             assert!(q < nq, "demand queue {q} out of range ({nq} queues)");
+            one_queue &= q == demands.queue(0);
             let start = self.dense_paths.len() as u32;
             for l in demands.path(i) {
                 let li = l.index();
@@ -332,9 +346,26 @@ impl Allocator {
             frozen_epoch,
             ..
         } = self;
-        match discipline {
-            Discipline::StrictPriority { num_queues } => {
-                for q in 0..*num_queues {
+        let weights = match discipline {
+            Discipline::WeightedRoundRobin { weights } => {
+                for &w in weights {
+                    assert!(w.is_finite() && w > 0.0, "WRR weights must be positive");
+                }
+                // The weights cancel in a one-queue set; leave them out.
+                Some(weights).filter(|_| !one_queue)
+            }
+            Discipline::StrictPriority { .. } => None,
+        };
+        match weights {
+            // Strict priority, or one queue under either discipline: one
+            // unit-weight waterfill per non-empty queue, highest first,
+            // each on the capacity the queues above it left over.
+            None => {
+                let classes = match queues.first() {
+                    Some(&q) if one_queue => q as usize..q as usize + 1,
+                    _ => 0..nq,
+                };
+                for q in classes {
                     idx.clear();
                     idx.extend(
                         (0..n)
@@ -361,10 +392,7 @@ impl Allocator {
                     }
                 }
             }
-            Discipline::WeightedRoundRobin { weights } => {
-                for &w in weights {
-                    assert!(w.is_finite() && w > 0.0, "WRR weights must be positive");
-                }
+            Some(weights) => {
                 // Per-link, per-queue flow counts to derive per-(flow,
                 // link) weights w_q / n_{q,l}: each backlogged queue
                 // receives its w_q share of the link, split max-min
@@ -736,6 +764,48 @@ mod tests {
         };
         let rates = allocate(&demands, caps_all(4.0), &disc);
         assert!((rates[0] - 4.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn one_queue_rates_ignore_the_discipline_bitwise() {
+        // Every demand in queue 2 (plus one local flow): SPQ and two
+        // unrelated WRR weight vectors must agree to the last bit, the
+        // property that lets the engine keep a one-queue component's
+        // rates when only the weights change.
+        let mut state = 777u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let link_ids: Vec<Vec<LinkId>> = (0..30)
+            .map(|i| {
+                let hops = if i == 0 { 0 } else { 1 + next() % 4 };
+                (0..hops).map(|_| LinkId(next() % 12)).collect()
+            })
+            .collect();
+        let demands: Vec<Demand<'_>> = link_ids
+            .iter()
+            .map(|p| Demand {
+                path: p.as_slice(),
+                queue: 2,
+            })
+            .collect();
+        let cap = |l: LinkId| 1.0 + (l.index() % 5) as f64 / 3.0;
+        let spq_rates = allocate(&demands, cap, &spq(4));
+        for weights in [vec![8.0, 4.0, 2.0, 1.0], vec![0.3, 7.0, 1.7, 2.9]] {
+            let disc = Discipline::WeightedRoundRobin { weights };
+            let wrr_rates = allocate(&demands, cap, &disc);
+            for (i, (a, b)) in spq_rates.iter().zip(&wrr_rates).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "demand {i}: {a} vs {b} under {disc:?}"
+                );
+            }
+        }
+        assert_eq!(spq_rates[0], f64::INFINITY);
     }
 
     #[test]

@@ -56,6 +56,16 @@ pub enum SimError {
         /// The rejected job id index.
         job: usize,
     },
+    /// A submitted job carries a value the engine cannot schedule: a
+    /// non-finite or negative arrival time, or a flow size that is not
+    /// positive and finite. Specs deserialized from the wire bypass the
+    /// model constructors' checks, so the engine checks again.
+    InvalidJob {
+        /// The rejected job id index.
+        job: usize,
+        /// Human-readable description of the rejected value.
+        reason: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -91,6 +101,9 @@ impl fmt::Display for SimError {
             }
             SimError::DuplicateJob { job } => {
                 write!(f, "job id {job} was already submitted to this engine")
+            }
+            SimError::InvalidJob { job, reason } => {
+                write!(f, "job {job} is invalid: {reason}")
             }
         }
     }
@@ -133,6 +146,12 @@ mod tests {
         assert!(SimError::DuplicateJob { job: 7 }
             .to_string()
             .contains("already submitted"));
+        assert!(SimError::InvalidJob {
+            job: 2,
+            reason: "arrival -1".into()
+        }
+        .to_string()
+        .contains("invalid: arrival"));
     }
 
     #[test]

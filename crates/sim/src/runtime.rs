@@ -294,8 +294,9 @@ impl Ord for FinishCand {
 
 /// Which rates the next recomputation must refresh. Events accumulate
 /// seed links (the links they touched); the recompute pass expands them
-/// to the affected flow↔link component(s). Discipline changes force a
-/// full pass instead.
+/// to the affected flow↔link component(s). On a discipline change the
+/// pass starts from the full partition instead, and a weights-only pass
+/// still re-rates every component the seeds touch.
 #[derive(Debug, Default)]
 struct DirtyRates {
     /// Anything to do at all?
@@ -840,8 +841,10 @@ pub struct Engine<'a, F: Fabric> {
     // ---- hot-path scratch (reused across events; see DESIGN.md) ----
     /// Dense-array water-filling allocator, sized to the fabric.
     allocator: Allocator,
-    /// Discipline used by the previous recomputation; a change forces a
-    /// full recompute (relative queue weights shift globally).
+    /// Discipline used by the previous recomputation. A change of queue
+    /// count forces a full pass; any other change is a weights-only pass,
+    /// which re-rates only the components that mix queues or touch a
+    /// dirty link (see [`Engine::retain_moved_components`]).
     last_discipline: Option<Discipline>,
     /// link index → flows whose path crosses it. Entries are tombstoned
     /// lazily: a listed flow may have completed, parked, or rerouted
@@ -878,9 +881,9 @@ pub struct Engine<'a, F: Fabric> {
     full_gen: u64,
     /// Cached full-pass partition members (see
     /// [`Engine::collect_full_components`]): flagship Gurita shifts WRR
-    /// weights with queue loads, so back-to-back discipline-change full
-    /// passes over an unchanged topology are the common case and reuse
-    /// this instead of re-running the union-find sweeps.
+    /// weights with queue loads, so back-to-back weights-only passes
+    /// over an unchanged topology are the common case and reuse this
+    /// instead of re-running the union-find sweeps.
     full_comp: Vec<usize>,
     /// Cached full-pass partition bounds (pairs with `full_comp`).
     full_bounds: Vec<usize>,
@@ -1371,6 +1374,10 @@ impl<'a, F: Fabric> Engine<'a, F> {
     ///
     /// * [`SimError::DuplicateJob`] if the id was ever submitted before
     ///   (pending, running, completed, or cancelled);
+    /// * [`SimError::InvalidJob`] if the arrival time is negative or not
+    ///   finite, or a flow size is not positive and finite (a NaN would
+    ///   otherwise reach the event heap, whose order treats it as equal
+    ///   to every time);
     /// * [`SimError::UnknownHost`] if a flow endpoint is outside the
     ///   fabric.
     pub fn check_job(&self, spec: &JobSpec) -> Result<(), SimError> {
@@ -1381,9 +1388,25 @@ impl<'a, F: Fabric> Engine<'a, F> {
         {
             return Err(SimError::DuplicateJob { job: id.index() });
         }
+        let invalid = |reason: String| SimError::InvalidJob {
+            job: id.index(),
+            reason,
+        };
+        let arrival = spec.arrival();
+        if !(arrival.is_finite() && arrival >= 0.0) {
+            return Err(invalid(format!(
+                "arrival {arrival} is not a finite time >= 0"
+            )));
+        }
         let num_hosts = self.fabric.num_hosts();
         for cf in spec.coflows() {
             for fl in cf.flows() {
+                if !(fl.bytes.is_finite() && fl.bytes > 0.0) {
+                    return Err(invalid(format!(
+                        "flow size {} is not positive and finite",
+                        fl.bytes
+                    )));
+                }
                 for host in [fl.src, fl.dst] {
                     if host.index() >= num_hosts {
                         return Err(SimError::UnknownHost {
@@ -2589,8 +2612,10 @@ impl<'a, F: Fabric> Engine<'a, F> {
     /// linear sweeps over the flow table with an epoch-stamped
     /// union-find keyed by each flow's own path. Flagship Gurita runs
     /// make this the hot path — WRR starvation-mitigation weights shift
-    /// with queue loads, so most recomputations are discipline-change
-    /// full passes.
+    /// with queue loads, so most recomputations are weights-only passes,
+    /// which take this partition and then keep only the components a
+    /// weight change or a dirty link can move
+    /// ([`Engine::retain_moved_components`]).
     ///
     /// The partition depends only on the topology (which unparked flows
     /// exist and which links their paths cross), never on disciplines,
@@ -2598,6 +2623,8 @@ impl<'a, F: Fabric> Engine<'a, F> {
     /// [`Engine::topo_gen`] and a discipline-only full pass reuses it
     /// outright. Debug builds re-derive and compare on every hit, so
     /// the equivalence suites would catch a missed `topo_gen` bump.
+    /// A cache miss, and every debug-build hit, restamps `link_mark`, so
+    /// a caller marks links only after this returns.
     fn collect_full_components(&mut self) {
         if self.full_gen == self.topo_gen {
             self.component.clear();
@@ -2624,6 +2651,55 @@ impl<'a, F: Fabric> Engine<'a, F> {
         self.full_comp.clone_from(&self.component);
         self.full_bounds.clone_from(&self.comp_bounds);
         self.full_gen = self.topo_gen;
+    }
+
+    /// Weights-only pass filter over the full partition: keeps in
+    /// `component` / `comp_bounds`, in canonical order, only the
+    /// components whose flows span two or more queues or whose links
+    /// include a dirty seed link, and returns how many it dropped.
+    ///
+    /// A dropped component sits in one queue, so its allocation never
+    /// reads the weights (see [`Allocator::allocate_into`]); and it
+    /// crosses no dirty link, so its flows, queues and capacities are
+    /// those it was last rated with. Its rates are therefore bitwise what
+    /// a re-rate would produce, and it keeps them, with their stamps and
+    /// completion-index entries, exactly as an incremental pass leaves an
+    /// untouched component.
+    fn retain_moved_components(&mut self) -> usize {
+        // Stamp the seeds only now: a partition cache miss re-runs the
+        // union-find, which reuses `link_mark` under its own epoch.
+        self.mark_epoch += 1;
+        let epoch = self.mark_epoch;
+        for &li in &self.dirty.links {
+            self.link_mark[li] = epoch;
+        }
+        let ncomp = self.comp_bounds.len() - 1;
+        let (mut start, mut len, mut kept) = (0, 0, 0);
+        for c in 0..ncomp {
+            // `comp_bounds[c + 1]` is read before any write reaches it:
+            // the write cursor `kept + 1` never passes `c + 1`.
+            let end = self.comp_bounds[c + 1];
+            let members = &self.component[start..end];
+            let q0 = self.flows[members[0]].queue;
+            let moved = members.iter().any(|&pos| {
+                self.flows[pos].queue != q0
+                    || self
+                        .arena
+                        .get(self.hot.path[pos])
+                        .iter()
+                        .any(|l| self.link_mark[l.index()] == epoch)
+            });
+            if moved {
+                self.component.copy_within(start..end, len);
+                len += end - start;
+                kept += 1;
+                self.comp_bounds[kept] = len;
+            }
+            start = end;
+        }
+        self.component.truncate(len);
+        self.comp_bounds.truncate(kept + 1);
+        ncomp - kept
     }
 
     /// Derives the canonical full partition into `component` /
@@ -2749,8 +2825,18 @@ impl<'a, F: Fabric> Engine<'a, F> {
         };
         // A discipline change (e.g. WRR weights shifted) re-weights every
         // flow everywhere: incremental seeds are insufficient, fall back
-        // to a full pass.
-        let full = full_requested || self.last_discipline.as_ref() != Some(&discipline);
+        // to a full pass. If the queue count held and no full pass was
+        // requested, it is a weights-only pass: only components that mix
+        // queues or cross a dirty link are re-rated (see
+        // `retain_moved_components`).
+        let changed = self.last_discipline.as_ref() != Some(&discipline);
+        let full = full_requested || changed;
+        let weights_only = !full_requested
+            && changed
+            && self
+                .last_discipline
+                .as_ref()
+                .is_some_and(|d| d.num_queues() == discipline.num_queues());
         if self.probe.on() {
             if full {
                 self.probe.full_passes += 1;
@@ -2783,8 +2869,14 @@ impl<'a, F: Fabric> Engine<'a, F> {
         // component, else the per-component loop, serial or fanned over
         // the pool — the same rates bit-for-bit either way.
         if full {
-            self.dirty.links.clear();
             self.collect_full_components();
+            if weights_only {
+                let skipped = self.retain_moved_components();
+                if self.probe.on() {
+                    self.probe.skipped_components += skipped as u64;
+                }
+            }
+            self.dirty.links.clear();
         } else {
             self.collect_component();
         }
@@ -3076,6 +3168,7 @@ impl<'a, F: Fabric> Engine<'a, F> {
             alloc_waterfill_passes: self.last_alloc_passes,
             alloc_component_calls: self.probe.component_calls,
             alloc_parallel_epochs: self.probe.parallel_epochs,
+            alloc_skipped_components: self.probe.skipped_components,
         }
     }
 
@@ -3658,6 +3751,54 @@ mod tests {
         );
         // The rejected submissions left the engine intact.
         assert_eq!(engine.outstanding_jobs(), 1);
+        engine.run_to_drained().unwrap();
+        assert_eq!(engine.finish().jobs.len(), 1);
+    }
+
+    #[test]
+    fn non_finite_or_negative_submissions_are_rejected() {
+        let (fabric, config) = online_fixture();
+        let mut sched = FifoScheduler::new(1);
+        let mut plane = Centralized::new(&mut sched);
+        let mut engine =
+            Engine::online(&fabric, &config, &mut plane, &FaultSchedule::new()).unwrap();
+        // `FlowSpec`'s fields are public, as they are to serde: build
+        // the sizes its constructor would refuse.
+        let with_bytes = |id: usize, bytes: f64| {
+            let flow = FlowSpec {
+                src: HostId(0),
+                dst: HostId(1),
+                bytes,
+            };
+            JobSpec::new(
+                id,
+                0.0,
+                vec![CoflowSpec::new(vec![flow])],
+                JobDag::chain(1).unwrap(),
+            )
+            .unwrap()
+        };
+        let bad = [
+            single_flow_job(0, -1.0, 0, 1, MB),
+            single_flow_job(1, f64::NAN, 0, 1, MB),
+            single_flow_job(2, f64::INFINITY, 0, 1, MB),
+            with_bytes(3, f64::NAN),
+            with_bytes(4, -MB),
+            with_bytes(5, 0.0),
+            with_bytes(6, f64::INFINITY),
+        ];
+        for spec in bad {
+            let id = spec.id().index();
+            match engine.submit_job(spec) {
+                Err(SimError::InvalidJob { job, .. }) => assert_eq!(job, id),
+                other => panic!("job {id} not rejected as invalid: {other:?}"),
+            }
+        }
+        // Nothing was admitted, and the ids stay free for valid jobs.
+        assert_eq!(engine.outstanding_jobs(), 0);
+        engine
+            .submit_job(single_flow_job(0, 0.0, 0, 1, MB))
+            .unwrap();
         engine.run_to_drained().unwrap();
         assert_eq!(engine.finish().jobs.len(), 1);
     }

@@ -337,8 +337,8 @@ pub struct EpochSample {
     pub pending_control_updates: usize,
     /// Links currently degraded or failed by the fault overlay.
     pub degraded_links: usize,
-    /// Cumulative full-pass rate recomputations (discipline changes or
-    /// `force_full_recompute`).
+    /// Cumulative full-pass rate recomputations (discipline changes,
+    /// weights-only passes included, or `force_full_recompute`).
     pub alloc_full_passes: u64,
     /// Cumulative incremental (dirty-component) recomputations.
     pub alloc_incremental_passes: u64,
@@ -355,8 +355,10 @@ pub struct EpochSample {
     /// per non-empty priority queue under SPQ, one under WRR, per
     /// component), summed over its per-component calls.
     pub alloc_waterfill_passes: u64,
-    /// Cumulative `Allocator::allocate_into` calls: one per full pass,
-    /// one per dirty component of each incremental epoch. With
+    /// Cumulative `Allocator::allocate_into` calls, one per component
+    /// re-rated: every component of a full pass, the components a
+    /// weights-only pass keeps (see `alloc_skipped_components`), the
+    /// dirty components of an incremental pass. With
     /// `alloc_incremental_passes` this yields the mean component count
     /// per epoch — the available intra-run parallelism (see
     /// [`SimConfig::threads`](crate::runtime::SimConfig::threads)).
@@ -367,6 +369,13 @@ pub struct EpochSample {
     /// dispatch threshold).
     #[serde(default)]
     pub alloc_parallel_epochs: u64,
+    /// Cumulative components a weights-only full pass left unrated: they
+    /// sit in one queue and cross no dirty link, so a change of WRR
+    /// weights cannot move their rates. Not counted in
+    /// `alloc_component_calls`; the two sum to the components the full
+    /// passes would otherwise have re-rated.
+    #[serde(default)]
+    pub alloc_skipped_components: u64,
 }
 
 /// Receives [`TraceRecord`]s from an instrumented run.
@@ -404,6 +413,7 @@ pub(crate) struct Probe<'a> {
     pub(crate) seed_links: u64,
     pub(crate) component_calls: u64,
     pub(crate) parallel_epochs: u64,
+    pub(crate) skipped_components: u64,
 }
 
 impl<'a> Probe<'a> {
@@ -419,6 +429,7 @@ impl<'a> Probe<'a> {
             seed_links: 0,
             component_calls: 0,
             parallel_epochs: 0,
+            skipped_components: 0,
         }
     }
 
@@ -966,6 +977,7 @@ mod tests {
             alloc_waterfill_passes: 2,
             alloc_component_calls: 6,
             alloc_parallel_epochs: 2,
+            alloc_skipped_components: 40,
         };
         for rec in [
             flow_start(0.25, 7),
@@ -1046,6 +1058,7 @@ mod tests {
             alloc_waterfill_passes: 1,
             alloc_component_calls: 1,
             alloc_parallel_epochs: 0,
+            alloc_skipped_components: 0,
         }));
         assert_eq!(sink.events().count(), 1);
         assert_eq!(sink.samples().count(), 1);

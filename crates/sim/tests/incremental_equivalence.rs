@@ -3,7 +3,10 @@
 //! on every completion time — under strict-priority and
 //! weighted-round-robin queue policies, and across fault-overlay
 //! capacity changes (brownouts, degradations, hard failures) injected
-//! mid-run.
+//! mid-run. A WRR scheduler whose weights shift at every decision, as
+//! Gurita's starvation-mitigation weights do, pins the weights-only
+//! pass: it re-rates only the components that mix queues or cross a
+//! dirty link and keeps every other component's rates.
 //!
 //! Since PR 9 the two modes share one canonical allocation shape — one
 //! waterfill call per connected flow↔link component, whether the pass
@@ -20,6 +23,7 @@ use gurita_sim::faults::{FaultEvent, FaultSchedule};
 use gurita_sim::runtime::{SimConfig, Simulation};
 use gurita_sim::sched::{Assignment, FifoScheduler, Observation, Oracle, QueuePolicy, Scheduler};
 use gurita_sim::stats::RunResult;
+use gurita_sim::telemetry::{MemorySink, TelemetryConfig};
 use gurita_sim::topology::{Fabric, FatTree, LinkId};
 use proptest::prelude::*;
 
@@ -51,6 +55,56 @@ impl Scheduler for WrrScheduler {
 
     fn queue_policy(&mut self, _obs: &Observation) -> QueuePolicy {
         QueuePolicy::Weighted(vec![8.0, 4.0, 2.0, 1.0])
+    }
+}
+
+/// WRR scheduler whose weights shift at every decision: each `assign`
+/// re-derives them from a decision counter and the queue loads it saw
+/// (state accumulated at decision time, as the `queue_policy` contract
+/// allows), so back-to-back recomputations see a new weight vector and
+/// incremental runs take the weights-only pass.
+struct ShiftingWrrScheduler {
+    weights: Vec<f64>,
+    decisions: usize,
+}
+
+impl Scheduler for ShiftingWrrScheduler {
+    fn name(&self) -> String {
+        "shifting-wrr-test".to_owned()
+    }
+
+    fn num_queues(&self) -> usize {
+        self.weights.len()
+    }
+
+    fn assign(&mut self, obs: &Observation, _oracle: &Oracle<'_>) -> Assignment {
+        let nq = self.weights.len();
+        let queues: Assignment = obs
+            .coflows
+            .iter()
+            .map(|c| (c.job.index() + c.dag_vertex) % nq)
+            .collect();
+        let mut load = vec![0usize; nq];
+        for &q in &queues {
+            load[q] += 1;
+        }
+        self.decisions += 1;
+        for (q, w) in self.weights.iter_mut().enumerate() {
+            let base = (8 >> q) as f64;
+            *w = base * (1.0 + 0.25 * load[q] as f64) + ((self.decisions + q) % 3) as f64;
+        }
+        queues
+    }
+
+    fn queue_policy(&mut self, _obs: &Observation) -> QueuePolicy {
+        QueuePolicy::Weighted(self.weights.clone())
+    }
+}
+
+fn shifting_wrr() -> ShiftingWrrScheduler {
+    ShiftingWrrScheduler {
+        weights: vec![1.0; 4],
+        decisions: 0,
     }
 }
 
@@ -119,6 +173,27 @@ fn build_faults(start: f64, factor: f64, host: usize) -> FaultSchedule {
 
 fn run_one(jobs: &[JobSpec], faults: &FaultSchedule, wrr: bool, full: bool) -> RunResult {
     let fabric = FatTree::new(PODS).expect("valid pod count");
+    if wrr {
+        run_with(fabric, jobs, faults, &mut WrrScheduler { queues: 4 }, full)
+    } else {
+        run_with(fabric, jobs, faults, &mut FifoScheduler::new(4), full)
+    }
+}
+
+/// A fabric slow enough (10 MB/s links) that the drawn jobs' flows
+/// overlap for tenths of a second: many flows share links at once, and
+/// the fault script lands while they do.
+fn slow_fabric() -> FatTree {
+    FatTree::with_capacity(PODS, 10.0 * MB).expect("valid pod count")
+}
+
+fn run_with(
+    fabric: FatTree,
+    jobs: &[JobSpec],
+    faults: &FaultSchedule,
+    scheduler: &mut dyn Scheduler,
+    full: bool,
+) -> RunResult {
     assert_eq!(fabric.num_hosts(), HOSTS);
     let mut sim = Simulation::new(
         fabric,
@@ -127,11 +202,7 @@ fn run_one(jobs: &[JobSpec], faults: &FaultSchedule, wrr: bool, full: bool) -> R
             ..SimConfig::default()
         },
     );
-    if wrr {
-        sim.run_with_faults(jobs.to_vec(), &mut WrrScheduler { queues: 4 }, faults)
-    } else {
-        sim.run_with_faults(jobs.to_vec(), &mut FifoScheduler::new(4), faults)
-    }
+    sim.run_with_faults(jobs.to_vec(), scheduler, faults)
 }
 
 fn rel_close(a: f64, b: f64) -> bool {
@@ -237,6 +308,27 @@ proptest! {
     }
 
     #[test]
+    fn incremental_matches_full_under_shifting_wrr_weights(
+        draws in prop::collection::vec(
+            (0.0f64..1.5, prop::collection::vec((0..HOSTS, 0..HOSTS, 0.2f64..4.0), 1..=3)),
+            2..=10,
+        ),
+        start in 0.1f64..2.0,
+        factor in 0.2f64..0.9,
+        host in 0..HOSTS,
+    ) {
+        let jobs = build_jobs(&draws);
+        let faults = build_faults(start, factor, host);
+        let inc = run_with(slow_fabric(), &jobs, &faults, &mut shifting_wrr(), false);
+        let full = run_with(slow_fabric(), &jobs, &faults, &mut shifting_wrr(), true);
+        prop_assert!(
+            check_equivalent(&inc, &full).is_ok(),
+            "{}",
+            check_equivalent(&inc, &full).unwrap_err()
+        );
+    }
+
+    #[test]
     fn incremental_matches_full_without_faults(
         draws in prop::collection::vec(
             (0.0f64..1.5, prop::collection::vec((0..HOSTS, 0..HOSTS, 0.2f64..4.0), 1..=3)),
@@ -253,4 +345,43 @@ proptest! {
             check_equivalent(&inc, &full).unwrap_err()
         );
     }
+}
+
+/// The shifting-weight scheduler really reaches the weights-only skip:
+/// a traced default run leaves clean one-queue components unrated and
+/// still completes every job at the forced-full run's exact times.
+#[test]
+fn shifting_weights_skip_clean_one_queue_components() {
+    let draws: Vec<JobDraw> = (0..8)
+        .map(|i| {
+            let stages = vec![
+                (i, (5 * i + 3) % HOSTS, 1.0 + 0.3 * i as f64),
+                ((i + 7) % HOSTS, (3 * i + 1) % HOSTS, 2.0),
+            ];
+            (0.1 * i as f64, stages)
+        })
+        .collect();
+    let jobs = build_jobs(&draws);
+    let mut sim = Simulation::new(
+        slow_fabric(),
+        SimConfig {
+            telemetry: Some(TelemetryConfig::default()),
+            ..SimConfig::default()
+        },
+    );
+    let mut sink = MemorySink::new();
+    let traced = sim.run_traced(jobs.clone(), &mut shifting_wrr(), &mut sink);
+    let last = sink.samples().last().expect("armed run samples").clone();
+    assert!(
+        last.alloc_skipped_components > 0,
+        "no weights-only skip taken: {last:?}"
+    );
+    let full = run_with(
+        slow_fabric(),
+        &jobs,
+        &FaultSchedule::new(),
+        &mut shifting_wrr(),
+        true,
+    );
+    check_equivalent(&traced, &full).unwrap();
 }

@@ -170,6 +170,33 @@ fn held_job_with_unknown_host_is_refused_at_submit() {
     daemon.join().unwrap().unwrap();
 }
 
+/// A spec off the wire bypasses the model constructors, so a negative
+/// arrival reaches the daemon as is: the engine refuses it with an error
+/// reply, and the daemon keeps serving.
+#[test]
+fn negative_arrival_is_refused_and_the_daemon_keeps_serving() {
+    let (_socket, daemon, mut client) = start("badarrival", SchedulerKind::Gurita, TEST_PACE);
+
+    let bad = job(2, 1.0).with_arrival(-1.0);
+    let err = client
+        .submit("bad", &[], &bad)
+        .expect_err("a negative arrival must be refused");
+    assert!(
+        err.to_string().contains("arrival"),
+        "unexpected error: {err}"
+    );
+    assert!(
+        client.status("bad").is_err(),
+        "refused job is not registered"
+    );
+    client.ping().expect("connection survives the rejection");
+
+    client.submit("good", &[], &job(2, 1.0)).unwrap();
+    let stats = client.drain().unwrap();
+    assert_eq!(stats.jobs_done, 1, "the valid job completes");
+    daemon.join().unwrap().unwrap();
+}
+
 /// Observability end to end: a daemon with `--trace-out` and
 /// `--metrics-out` answers live `metrics` queries over the socket
 /// mid-session, and on drain flushes all three artifacts — the JSONL

@@ -14,7 +14,9 @@
 //! {2, 4, 8} with SPQ and WRR disciplines, mid-run fabric faults,
 //! decentralized control latencies {0, 1 ms, 10 ms}, and an armed
 //! telemetry layer (composing the zero-overhead and zero-thread-drift
-//! contracts).
+//! contracts). Flagship Gurita's default runs, whose weights-only passes
+//! keep clean one-queue components' rates, are also pinned against
+//! `force_full_recompute`.
 
 use gurita_experiments::roster::SchedulerKind;
 use gurita_experiments::scenario::Scenario;
@@ -107,8 +109,48 @@ fn run_once_cfg(
     }
 }
 
+/// Flagship Gurita, serial, differing from the default config only in
+/// `force_full_recompute`.
+fn run_gurita(jobs: &[JobSpec], faults: &FaultSchedule, force_full: bool) -> RunResult {
+    let mut sim = Simulation::new(
+        FatTree::new(8).unwrap(),
+        SimConfig {
+            force_full_recompute: force_full,
+            ..SimConfig::default()
+        },
+    );
+    let mut plane = SchedulerKind::Gurita.build_plane();
+    sim.try_run_control_with_faults(jobs.to_vec(), plane.as_mut(), faults)
+        .unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Flagship Gurita shifts its starvation-mitigation WRR weights at
+    /// every decision, so a default run re-rates only the components
+    /// that mix queues or cross a dirty link on most passes. It must
+    /// equal the run that re-rates every component on every pass, bit
+    /// for bit, with and without mid-run faults.
+    #[test]
+    fn gurita_default_matches_forced_full_bitwise(
+        seed in 0u64..1_000,
+        jobs in 6usize..14,
+        with_faults in 0usize..2,
+    ) {
+        let jobs = workload(jobs, seed);
+        let faults = if with_faults == 1 {
+            chaos_schedule()
+        } else {
+            FaultSchedule::new()
+        };
+        let default = run_gurita(&jobs, &faults, false);
+        let full = run_gurita(&jobs, &faults, true);
+        prop_assert!(
+            default == full,
+            "default diverged from forced-full (faults {with_faults})"
+        );
+    }
 
     /// Serial (`threads = 1`) vs pooled (`threads ∈ {2, 4, 8}`) runs
     /// must produce bit-for-bit identical [`RunResult`]s across
