@@ -17,7 +17,7 @@
 
 use gurita_model::JobSpec;
 use serde::{Deserialize, Serialize};
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// A client request. `cmd` selects the operation; the remaining fields
 /// are operation-specific and default to empty.
@@ -184,18 +184,35 @@ pub fn write_line<T: Serialize, W: Write>(w: &mut W, msg: &T) -> io::Result<()> 
     w.flush()
 }
 
+/// Largest frame [`read_line`] accepts: one JSON line of at most this
+/// many bytes, not counting its newline. The cap keeps one peer from
+/// growing the reader's buffer without bound. It sits far above the
+/// frames in use: perfbench's `submit` frames average 1.8–5.5 KB.
+pub const MAX_FRAME_BYTES: usize = 16 << 20;
+
 /// Reads one JSON line into `T`. Returns `Ok(None)` at end of stream
-/// (peer closed), `Err` on I/O failure or malformed JSON.
+/// (peer closed), `Err` on I/O failure, malformed JSON or a line longer
+/// than [`MAX_FRAME_BYTES`].
 ///
 /// # Errors
 ///
-/// I/O errors from the reader; `InvalidData` for unparseable lines.
+/// I/O errors from the reader; `InvalidData` for unparseable or
+/// oversized lines.
 pub fn read_line<T: Deserialize, R: BufRead>(r: &mut R) -> io::Result<Option<T>> {
     let mut line = String::new();
     loop {
         line.clear();
-        if r.read_line(&mut line)? == 0 {
+        let read = (&mut *r)
+            .take(MAX_FRAME_BYTES as u64 + 1)
+            .read_line(&mut line)?;
+        if read == 0 {
             return Ok(None);
+        }
+        if read > MAX_FRAME_BYTES && !line.ends_with('\n') {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("frame longer than {MAX_FRAME_BYTES} bytes"),
+            ));
         }
         if line.trim().is_empty() {
             continue; // tolerate blank keep-alive lines
@@ -271,6 +288,24 @@ mod tests {
         write_line(&mut buf, &resp).unwrap();
         let back: Response = read_line(&mut buf.as_slice()).unwrap().unwrap();
         assert_eq!(resp, back);
+    }
+
+    /// A valid request padded to `len` bytes, plus its newline.
+    fn padded_ping(len: usize) -> Vec<u8> {
+        let mut frame = b"{\"cmd\":\"ping\"}".to_vec();
+        frame.resize(len, b' ');
+        frame.push(b'\n');
+        frame
+    }
+
+    #[test]
+    fn frames_over_the_cap_are_invalid_data() {
+        let at_cap = padded_ping(MAX_FRAME_BYTES);
+        let req: Request = read_line(&mut at_cap.as_slice()).unwrap().unwrap();
+        assert_eq!(req, Request::bare("ping"));
+        let over = padded_ping(MAX_FRAME_BYTES + 1);
+        let err = read_line::<Request, _>(&mut over.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

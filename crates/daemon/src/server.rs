@@ -155,18 +155,7 @@ pub struct ServeReport {
 /// (mapped to `io::ErrorKind::Other`).
 pub fn serve(config: &DaemonConfig) -> io::Result<ServeReport> {
     let fabric = BigSwitch::new(config.hosts, config.capacity);
-    // The daemon always arms telemetry: the live `MetricsSink` is what
-    // makes `metrics`/`gctl top` answerable mid-run. Offline batch
-    // runs keep the zero-overhead disabled path; service mode pays the
-    // armed layer (<3% at gate scale, see BENCH_sim.json
-    // `events_per_sec_metrics`).
-    let sim_config = SimConfig {
-        tick_interval: config.tick_interval,
-        threads: config.threads,
-        control_latency: config.control_latency,
-        telemetry: Some(TelemetryConfig::default()),
-        ..SimConfig::default()
-    };
+    let sim_config = engine_config(config);
     let mut plane = config.scheduler.build_plane();
     let faults = FaultSchedule::default();
 
@@ -375,11 +364,43 @@ fn accept_loop(listener: UnixListener, tx: mpsc::Sender<Cmd>, stop: Arc<AtomicBo
     }
 }
 
+/// The engine configuration `serve` runs under.
+fn engine_config(config: &DaemonConfig) -> SimConfig {
+    SimConfig {
+        tick_interval: config.tick_interval,
+        threads: config.threads,
+        control_latency: config.control_latency,
+        // A service has no lifetime event budget: the engine counts
+        // events cumulatively, so any finite cap would end the daemon.
+        max_events: u64::MAX,
+        // The daemon always arms telemetry: the live `MetricsSink` is
+        // what makes `metrics`/`gctl top` answerable mid-run. Offline
+        // batch runs keep the disabled path; service mode pays the
+        // armed layer: perfbench's `telemetry.overhead_frac` puts it at
+        // 0.06 of run time on fig7 and 0.27 on fig6 (medians, seeds
+        // 1-3, 2-vCPU host), an upper bound that includes perfbench's
+        // own spans.
+        telemetry: Some(TelemetryConfig::default()),
+        ..SimConfig::default()
+    }
+}
+
 /// One connection: requests in, responses out, strictly in order.
 fn handle_connection(stream: UnixStream, tx: mpsc::Sender<Cmd>) -> io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-    while let Some(req) = read_line::<Request, _>(&mut reader)? {
+    loop {
+        let req = match read_line::<Request, _>(&mut reader) {
+            Ok(Some(req)) => req,
+            Ok(None) => break,
+            Err(e) => {
+                // A malformed or oversized frame (or a failed read): say
+                // why, then hang up, since the rest of the stream cannot
+                // be re-framed.
+                write_line(&mut writer, &Response::err(e.to_string()))?;
+                return Err(e);
+            }
+        };
         let (reply_tx, reply_rx) = mpsc::channel();
         if tx
             .send(Cmd {
@@ -761,6 +782,15 @@ fn snapshot<F: gurita_sim::topology::Fabric>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn served_engine_has_no_event_budget() {
+        let config = DaemonConfig::default();
+        let sim = engine_config(&config);
+        assert_eq!(sim.max_events, u64::MAX, "a finite budget ends the daemon");
+        assert!(sim.telemetry.is_some(), "live metrics need armed telemetry");
+        assert_eq!(sim.tick_interval, config.tick_interval);
+    }
 
     #[test]
     fn scheduler_labels_parse_back() {

@@ -107,47 +107,9 @@ impl Scenario {
     /// # Panics
     ///
     /// Panics if the fabric cannot be built or the simulation fails (see
-    /// [`Simulation::run`]).
+    /// [`Simulation::try_run`]).
     pub fn run(&self, kind: SchedulerKind) -> RunResult {
-        let jobs = self.jobs();
-        self.run_with_jobs(kind, jobs, &FaultSchedule::new())
-    }
-
-    /// Runs one scheduler over the scenario's workload while injecting
-    /// `faults` at their scheduled times (see
-    /// [`gurita_sim::faults`] for the fault model).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fabric cannot be built or the simulation fails —
-    /// including on an invalid fault schedule (see
-    /// [`Simulation::run_with_faults`]).
-    pub fn run_with_faults(&self, kind: SchedulerKind, faults: &FaultSchedule) -> RunResult {
-        let jobs = self.jobs();
-        self.run_with_jobs(kind, jobs, faults)
-    }
-
-    fn run_with_jobs(
-        &self,
-        kind: SchedulerKind,
-        jobs: Vec<JobSpec>,
-        faults: &FaultSchedule,
-    ) -> RunResult {
-        let fabric = FatTree::new(self.pods).expect("valid pod count");
-        let mut sim = Simulation::new(
-            fabric,
-            SimConfig {
-                tick_interval: self.tick_interval,
-                control_latency: self.control_latency,
-                control_faults: self.control_faults.clone(),
-                threads: self.threads,
-                ..SimConfig::default()
-            },
-        );
-        let mut plane = kind.build_plane();
-        let mut result = sim.run_control_with_faults(jobs, plane.as_mut(), faults);
-        result.scheduler = kind.label().to_owned();
-        result
+        self.run_with_jobs(kind, self.jobs(), &FaultSchedule::new(), None)
     }
 
     /// Runs one scheduler with the telemetry layer armed, streaming
@@ -157,9 +119,19 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics if the fabric cannot be built or the simulation fails (see
-    /// [`Simulation::run`]).
+    /// Same as [`Scenario::run`].
     pub fn run_traced(&self, kind: SchedulerKind, sink: &mut dyn TelemetrySink) -> RunResult {
+        self.run_with_jobs(kind, self.jobs(), &FaultSchedule::new(), Some(sink))
+    }
+
+    /// The one run path: telemetry is armed exactly when a sink is given.
+    fn run_with_jobs(
+        &self,
+        kind: SchedulerKind,
+        jobs: Vec<JobSpec>,
+        faults: &FaultSchedule,
+        sink: Option<&mut dyn TelemetrySink>,
+    ) -> RunResult {
         let fabric = FatTree::new(self.pods).expect("valid pod count");
         let mut sim = Simulation::new(
             fabric,
@@ -168,18 +140,13 @@ impl Scenario {
                 control_latency: self.control_latency,
                 control_faults: self.control_faults.clone(),
                 threads: self.threads,
-                telemetry: Some(TelemetryConfig::default()),
+                telemetry: sink.is_some().then(TelemetryConfig::default),
                 ..SimConfig::default()
             },
         );
         let mut plane = kind.build_plane();
         let mut result = sim
-            .try_run_control_with_faults_traced(
-                self.jobs(),
-                plane.as_mut(),
-                &FaultSchedule::new(),
-                sink,
-            )
+            .try_run(jobs, plane.as_mut(), faults, sink)
             .expect("simulation failed; see SimError for details");
         result.scheduler = kind.label().to_owned();
         result
@@ -209,7 +176,7 @@ impl Scenario {
                 let jobs = jobs.clone();
                 let slots = &slots;
                 scope.spawn(move |_| {
-                    let result = self.run_with_jobs(kind, jobs, faults);
+                    let result = self.run_with_jobs(kind, jobs, faults, None);
                     slots.lock()[i] = Some(result);
                 });
             }

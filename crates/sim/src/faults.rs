@@ -10,7 +10,7 @@
 //!   construction, for steady-state brown-out experiments.
 //! * **Scheduled faults** — a [`FaultSchedule`] of timed [`FaultEvent`]s
 //!   delivered through the simulator event loop
-//!   ([`crate::runtime::Simulation::try_run_with_faults`]). The engine
+//!   ([`crate::runtime::Simulation::try_run`]). The engine
 //!   maintains a [`FaultOverlay`] of live capacity factors and dead
 //!   links; on a hard [`FaultEvent::FailLink`] it reroutes affected
 //!   flows via ECMP re-salting (preserving bytes already delivered) and
@@ -312,7 +312,7 @@ pub struct TimedFault {
 ///
 /// Build one with [`FaultSchedule::push`] (any insertion order; the
 /// engine sequences events by time) and pass it to
-/// [`crate::runtime::Simulation::try_run_with_faults`].
+/// [`crate::runtime::Simulation::try_run`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultSchedule {
     events: Vec<TimedFault>,

@@ -98,8 +98,8 @@ pub struct SimConfig {
     pub control_latency: f64,
     /// Arms the telemetry layer (see [`crate::telemetry`]): lifecycle
     /// event tracing and epoch-sampled time series, delivered to the
-    /// sink passed to a `*_traced` entry point such as
-    /// [`Simulation::run_traced`]. `None` (the default) disables all
+    /// sink passed to [`Simulation::try_run`] or
+    /// [`Engine::online_traced`]. `None` (the default) disables all
     /// instrumentation — runs pay one branch per probe site and nothing
     /// else. Telemetry never perturbs scheduling: results are bit-for-
     /// bit identical with it on or off.
@@ -425,213 +425,67 @@ impl<F: Fabric> Simulation<F> {
     }
 
     /// Runs `jobs` to completion under `scheduler` and returns the
-    /// completion records.
+    /// completion records — [`Simulation::try_run`] with the scheduler
+    /// wrapped in [`Centralized`], no faults and no telemetry sink.
     ///
     /// # Panics
     ///
-    /// Panics if the event budget is exhausted (see [`SimConfig`]), if a
-    /// job references a host outside the fabric, or if the scheduler
-    /// returns a malformed assignment. Use [`Simulation::try_run`] for a
-    /// fallible variant.
+    /// Panics on any [`SimError`]: if the event budget is exhausted (see
+    /// [`SimConfig`]), if a job references a host outside the fabric, or
+    /// if the scheduler returns a malformed assignment.
     pub fn run(&mut self, jobs: Vec<JobSpec>, scheduler: &mut dyn Scheduler) -> RunResult {
-        self.try_run(jobs, scheduler)
+        let mut plane = Centralized::new(scheduler);
+        self.try_run(jobs, &mut plane, &FaultSchedule::new(), None)
             .expect("simulation failed; see SimError for details")
     }
 
-    /// Fallible variant of [`Simulation::run`].
+    /// Runs `jobs` to completion under an explicit [`ControlPlane`]
+    /// while injecting `faults` at their scheduled times — the general
+    /// entry point. A classic [`Scheduler`] runs as
+    /// [`Centralized::new(scheduler)`](Centralized::new), bit-for-bit
+    /// the decisions [`Simulation::run`] makes; decentralized schemes
+    /// use [`crate::control::Decentralized`] (see
+    /// [`SimConfig::control_latency`]).
     ///
-    /// # Errors
+    /// See [`crate::faults`] for the fault model: degradations scale
+    /// link capacities in place; hard failures reroute affected flows
+    /// over fresh ECMP paths (delivered bytes preserved) or park them
+    /// until the matching recovery. Pass `&FaultSchedule::new()` for
+    /// none.
     ///
-    /// * [`SimError::UnknownHost`] if a flow endpoint is outside the
-    ///   fabric;
-    /// * [`SimError::EventBudgetExhausted`] if the run does not finish
-    ///   within `config.max_events` events.
-    pub fn try_run(
-        &mut self,
-        jobs: Vec<JobSpec>,
-        scheduler: &mut dyn Scheduler,
-    ) -> Result<RunResult, SimError> {
-        self.try_run_with_faults(jobs, scheduler, &FaultSchedule::new())
-    }
-
-    /// Runs `jobs` under `scheduler` while injecting `faults` at their
-    /// scheduled times. See [`crate::faults`] for the fault model:
-    /// degradations scale link capacities in place; hard failures
-    /// reroute affected flows over fresh ECMP paths (delivered bytes
-    /// preserved) or park them until the matching recovery.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`SimError`]; use
-    /// [`Simulation::try_run_with_faults`] for the fallible variant.
-    pub fn run_with_faults(
-        &mut self,
-        jobs: Vec<JobSpec>,
-        scheduler: &mut dyn Scheduler,
-        faults: &FaultSchedule,
-    ) -> RunResult {
-        self.try_run_with_faults(jobs, scheduler, faults)
-            .expect("simulation failed; see SimError for details")
-    }
-
-    /// Fallible variant of [`Simulation::run_with_faults`].
+    /// `sink` receives telemetry (see [`crate::telemetry`]), armed only
+    /// when [`SimConfig::telemetry`] is `Some`; with it `None` the sink
+    /// receives nothing. Either way the returned result is bit-for-bit
+    /// what the run without a sink produces.
     ///
     /// # Errors
     ///
     /// * [`SimError::InvalidFault`] if the schedule references unknown
     ///   links/hosts, uses a factor outside `(0, 1]`, or carries a
-    ///   non-finite/negative time;
+    ///   non-finite/negative time, or if `config.control_faults` fails
+    ///   validation;
+    /// * [`SimError::UnknownHost`] if a flow endpoint is outside the
+    ///   fabric;
     /// * [`SimError::StrandedFlows`] if every in-flight flow ends up
     ///   parked on failed links with no recovery, arrival, or further
     ///   fault scheduled;
-    /// * plus every error [`Simulation::try_run`] can produce.
-    pub fn try_run_with_faults(
-        &mut self,
-        jobs: Vec<JobSpec>,
-        scheduler: &mut dyn Scheduler,
-        faults: &FaultSchedule,
-    ) -> Result<RunResult, SimError> {
-        // The classic scheduler entry points are sugar for the
-        // centralized control plane — bit-for-bit the same decisions.
-        let mut plane = Centralized::new(scheduler);
-        self.try_run_control_with_faults(jobs, &mut plane, faults)
-    }
-
-    /// Runs `jobs` to completion under an explicit [`ControlPlane`] —
-    /// the entry point for decentralized schemes (see
-    /// [`crate::control::Decentralized`] and
-    /// [`SimConfig::control_latency`]). [`Simulation::run`] is
-    /// equivalent to running the scheduler wrapped in
-    /// [`Centralized`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`SimError`]; use [`Simulation::try_run_control`]
-    /// for the fallible variant.
-    pub fn run_control(&mut self, jobs: Vec<JobSpec>, plane: &mut dyn ControlPlane) -> RunResult {
-        self.try_run_control(jobs, plane)
-            .expect("simulation failed; see SimError for details")
-    }
-
-    /// Fallible variant of [`Simulation::run_control`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Simulation::try_run`].
-    pub fn try_run_control(
-        &mut self,
-        jobs: Vec<JobSpec>,
-        plane: &mut dyn ControlPlane,
-    ) -> Result<RunResult, SimError> {
-        self.try_run_control_with_faults(jobs, plane, &FaultSchedule::new())
-    }
-
-    /// [`Simulation::run_control`] with a fault schedule injected.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`SimError`]; use
-    /// [`Simulation::try_run_control_with_faults`] for the fallible
-    /// variant.
-    pub fn run_control_with_faults(
+    /// * [`SimError::EventBudgetExhausted`] if the run does not finish
+    ///   within `config.max_events` events.
+    pub fn try_run(
         &mut self,
         jobs: Vec<JobSpec>,
         plane: &mut dyn ControlPlane,
         faults: &FaultSchedule,
-    ) -> RunResult {
-        self.try_run_control_with_faults(jobs, plane, faults)
-            .expect("simulation failed; see SimError for details")
-    }
-
-    /// Fallible variant of [`Simulation::run_control_with_faults`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Simulation::try_run_with_faults`].
-    pub fn try_run_control_with_faults(
-        &mut self,
-        jobs: Vec<JobSpec>,
-        plane: &mut dyn ControlPlane,
-        faults: &FaultSchedule,
+        sink: Option<&mut dyn TelemetrySink>,
     ) -> Result<RunResult, SimError> {
         faults.validate(&self.fabric)?;
         if let Some(cf) = &self.config.control_faults {
             cf.validate(self.fabric.num_hosts())?;
         }
-        Engine::new(&self.fabric, &self.config, jobs, plane, faults, None).run()
-    }
-
-    /// [`Simulation::run`] with telemetry delivered to `sink` — see
-    /// [`crate::telemetry`]. Instrumentation is armed only when
-    /// [`SimConfig::telemetry`] is `Some`; with it `None` the sink
-    /// receives nothing and the run is indistinguishable from
-    /// [`Simulation::run`]. Either way the returned result is
-    /// bit-for-bit what the untraced entry point produces.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`SimError`]; use [`Simulation::try_run_traced`]
-    /// for the fallible variant.
-    pub fn run_traced(
-        &mut self,
-        jobs: Vec<JobSpec>,
-        scheduler: &mut dyn Scheduler,
-        sink: &mut dyn TelemetrySink,
-    ) -> RunResult {
-        self.try_run_traced(jobs, scheduler, sink)
-            .expect("simulation failed; see SimError for details")
-    }
-
-    /// Fallible variant of [`Simulation::run_traced`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Simulation::try_run`].
-    pub fn try_run_traced(
-        &mut self,
-        jobs: Vec<JobSpec>,
-        scheduler: &mut dyn Scheduler,
-        sink: &mut dyn TelemetrySink,
-    ) -> Result<RunResult, SimError> {
-        self.try_run_traced_with_faults(jobs, scheduler, &FaultSchedule::new(), sink)
-    }
-
-    /// [`Simulation::run_with_faults`] with telemetry delivered to
-    /// `sink` (see [`Simulation::run_traced`] for the arming rules).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Simulation::try_run_with_faults`].
-    pub fn try_run_traced_with_faults(
-        &mut self,
-        jobs: Vec<JobSpec>,
-        scheduler: &mut dyn Scheduler,
-        faults: &FaultSchedule,
-        sink: &mut dyn TelemetrySink,
-    ) -> Result<RunResult, SimError> {
-        let mut plane = Centralized::new(scheduler);
-        self.try_run_control_with_faults_traced(jobs, &mut plane, faults, sink)
-    }
-
-    /// [`Simulation::run_control_with_faults`] with telemetry delivered
-    /// to `sink` — the fully general traced entry point (see
-    /// [`Simulation::run_traced`] for the arming rules).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Simulation::try_run_with_faults`].
-    pub fn try_run_control_with_faults_traced(
-        &mut self,
-        jobs: Vec<JobSpec>,
-        plane: &mut dyn ControlPlane,
-        faults: &FaultSchedule,
-        sink: &mut dyn TelemetrySink,
-    ) -> Result<RunResult, SimError> {
-        faults.validate(&self.fabric)?;
-        if let Some(cf) = &self.config.control_faults {
-            cf.validate(self.fabric.num_hosts())?;
-        }
-        Engine::new(&self.fabric, &self.config, jobs, plane, faults, Some(sink)).run()
+        // Reborrow so the sink's trait-object lifetime can shrink to the
+        // engine's.
+        let sink = sink.map(|s| s as &mut dyn TelemetrySink);
+        Engine::new(&self.fabric, &self.config, jobs, plane, faults, sink).run()
     }
 }
 
@@ -765,7 +619,8 @@ pub enum JobPhase {
 
 /// The live simulation core: a steppable discrete-event engine.
 ///
-/// The offline entry points ([`Simulation::run`] and friends) construct
+/// The offline entry points ([`Simulation::run`] and
+/// [`Simulation::try_run`]) construct
 /// one internally, seed it with the whole workload, and drive it to
 /// completion. Service mode constructs one with [`Engine::online`] and
 /// drives it incrementally: [`Engine::submit_job`] admits work
@@ -924,7 +779,7 @@ pub struct Engine<'a, F: Fabric> {
     remaining_jobs: usize,
 
     /// Telemetry probe; armed only when [`SimConfig::telemetry`] is set
-    /// *and* a sink was handed to a `*_traced` entry point. Disarmed it
+    /// *and* a sink was handed to the engine. Disarmed it
     /// costs one branch per probe site.
     probe: Probe<'a>,
 }
@@ -1081,8 +936,8 @@ impl<'a, F: Fabric> Engine<'a, F> {
     }
 
     /// [`Engine::online`] with telemetry delivered to `sink` (armed only
-    /// when `config.telemetry` is set, mirroring the `*_traced` offline
-    /// entry points).
+    /// when `config.telemetry` is set, mirroring the `sink` argument of
+    /// [`Simulation::try_run`]).
     ///
     /// # Errors
     ///
@@ -3268,6 +3123,16 @@ mod tests {
         Simulation::new(BigSwitch::new(8, 1.0 * MB), SimConfig::default())
     }
 
+    /// FIFO over `sim` with `faults` injected.
+    fn try_run_fifo<F: Fabric>(
+        sim: &mut Simulation<F>,
+        jobs: Vec<JobSpec>,
+        faults: &FaultSchedule,
+    ) -> Result<RunResult, SimError> {
+        let mut sched = FifoScheduler::new(1);
+        sim.try_run(jobs, &mut Centralized::new(&mut sched), faults, None)
+    }
+
     #[test]
     fn fanned_advance_matches_serial_with_link_stats() {
         // More open flows than `PAR_MIN_ADVANCE_FLOWS` so the chunked
@@ -3463,7 +3328,7 @@ mod tests {
             single_flow_job(0, 0.0, 0, 2, 30.0 * MB),
             single_flow_job(1, 0.0, 1, 2, 30.0 * MB),
         ];
-        let err = sim.try_run(jobs, &mut FifoScheduler::new(1)).unwrap_err();
+        let err = try_run_fifo(&mut sim, jobs, &FaultSchedule::new()).unwrap_err();
         assert_eq!(err, SimError::EventBudgetExhausted { max_events: 2 });
     }
 
@@ -3510,11 +3375,12 @@ mod tests {
                 },
             )
             .push(6.0, FaultEvent::RestoreHost { host: HostId(1) });
-        let res = sim.run_with_faults(
+        let res = try_run_fifo(
+            &mut sim,
             vec![single_flow_job(0, 0.0, 0, 1, 10.0 * MB)],
-            &mut FifoScheduler::new(1),
             &faults,
-        );
+        )
+        .unwrap();
         assert!(
             (res.jobs[0].jct - 12.0).abs() < 1e-6,
             "jct {}",
@@ -3536,11 +3402,12 @@ mod tests {
         faults
             .push(3.0, FaultEvent::FailLink { link: LinkId(0) })
             .push(8.0, FaultEvent::RecoverLink { link: LinkId(0) });
-        let res = sim.run_with_faults(
+        let res = try_run_fifo(
+            &mut sim,
             vec![single_flow_job(0, 0.0, 0, 1, 10.0 * MB)],
-            &mut FifoScheduler::new(1),
             &faults,
-        );
+        )
+        .unwrap();
         assert!(
             (res.jobs[0].jct - 15.0).abs() < 1e-6,
             "jct {}",
@@ -3562,13 +3429,12 @@ mod tests {
         let mut sim = big_switch_sim();
         let mut faults = FaultSchedule::new();
         faults.push(1.0, FaultEvent::FailLink { link: LinkId(0) });
-        let err = sim
-            .try_run_with_faults(
-                vec![single_flow_job(0, 0.0, 0, 1, 10.0 * MB)],
-                &mut FifoScheduler::new(1),
-                &faults,
-            )
-            .unwrap_err();
+        let err = try_run_fifo(
+            &mut sim,
+            vec![single_flow_job(0, 0.0, 0, 1, 10.0 * MB)],
+            &faults,
+        )
+        .unwrap_err();
         assert_eq!(err, SimError::StrandedFlows { parked: 1 });
     }
 
@@ -3579,13 +3445,8 @@ mod tests {
         let mut sim = big_switch_sim();
         let mut faults = FaultSchedule::new();
         faults.push(1.0, FaultEvent::FailLink { link: LinkId(999) });
-        let err = sim
-            .try_run_with_faults(
-                vec![single_flow_job(0, 0.0, 0, 1, MB)],
-                &mut FifoScheduler::new(1),
-                &faults,
-            )
-            .unwrap_err();
+        let err =
+            try_run_fifo(&mut sim, vec![single_flow_job(0, 0.0, 0, 1, MB)], &faults).unwrap_err();
         assert!(matches!(err, SimError::InvalidFault { .. }), "{err}");
     }
 
@@ -3612,7 +3473,7 @@ mod tests {
         faults
             .push(mid_fault, FaultEvent::FailLink { link: mid })
             .push(1e6, FaultEvent::RecoverLink { link: mid });
-        let res = sim.run_with_faults(job(), &mut FifoScheduler::new(1), &faults);
+        let res = try_run_fifo(&mut sim, job(), &faults).unwrap();
         assert_eq!(res.jobs.len(), 1);
         assert_eq!(res.flows_rerouted, 1, "flow should re-salt, not park");
         assert_eq!(res.flows_parked, 0);
@@ -3647,7 +3508,7 @@ mod tests {
         // Job arrives while the link is down; its natural path would
         // cross the dead link, so activation must pick a live detour and
         // run at full speed from the start.
-        let res = sim.run_with_faults(job(1.0), &mut FifoScheduler::new(1), &faults);
+        let res = try_run_fifo(&mut sim, job(1.0), &faults).unwrap();
         assert_eq!(res.flows_parked, 0);
         assert!(
             (res.jobs[0].jct - healthy.jobs[0].jct).abs() < 1e-6,

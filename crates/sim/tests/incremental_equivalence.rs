@@ -19,6 +19,7 @@
 //! relative form is kept for the error messages' readability.
 
 use gurita_model::{units::MB, CoflowSpec, FlowSpec, HostId, JobDag, JobSpec};
+use gurita_sim::control::Centralized;
 use gurita_sim::faults::{FaultEvent, FaultSchedule};
 use gurita_sim::runtime::{SimConfig, Simulation};
 use gurita_sim::sched::{Assignment, FifoScheduler, Observation, Oracle, QueuePolicy, Scheduler};
@@ -202,7 +203,13 @@ fn run_with(
             ..SimConfig::default()
         },
     );
-    sim.run_with_faults(jobs.to_vec(), scheduler, faults)
+    sim.try_run(
+        jobs.to_vec(),
+        &mut Centralized::new(scheduler),
+        faults,
+        None,
+    )
+    .expect("simulation failed")
 }
 
 fn rel_close(a: f64, b: f64) -> bool {
@@ -370,7 +377,14 @@ fn shifting_weights_skip_clean_one_queue_components() {
         },
     );
     let mut sink = MemorySink::new();
-    let traced = sim.run_traced(jobs.clone(), &mut shifting_wrr(), &mut sink);
+    let traced = sim
+        .try_run(
+            jobs.clone(),
+            &mut Centralized::new(&mut shifting_wrr()),
+            &FaultSchedule::new(),
+            Some(&mut sink),
+        )
+        .expect("simulation failed");
     let last = sink.samples().last().expect("armed run samples").clone();
     assert!(
         last.alloc_skipped_components > 0,

@@ -148,9 +148,7 @@ mod tests {
 
         let jobs = JobGenerator::new(config(20), 7).generate();
         let mut sched = FifoScheduler::new(1);
-        let offline = Simulation::new(fabric.clone(), sim_config.clone())
-            .try_run(jobs, &mut sched)
-            .unwrap();
+        let offline = Simulation::new(fabric.clone(), sim_config.clone()).run(jobs, &mut sched);
 
         let mut sched = FifoScheduler::new(1);
         let mut plane = Centralized::new(&mut sched);

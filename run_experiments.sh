@@ -58,7 +58,6 @@ phase chaos      "$THREADS" "$BIN/chaos" --jobs 40 --threads "$THREADS" --contro
 phase online     "$THREADS" env GURITA_THREADS="$THREADS" \
     GURITA_ONLINE_OUT=results/online_arrivals.json \
     GURITA_ONLINE_METRICS_OUT=results/daemon_metrics.json "$BIN/online_arrivals"
-phase bench      -          "$BIN/bench" --jobs 40
 total_end=$(date +%s)
 printf '%-12s %4ds\n' total "$((total_end - total_start))" | tee -a results/phase_times.txt
 

@@ -142,7 +142,7 @@ fn rejected(faults: ControlFaults) -> bool {
     );
     let mut plane = SchedulerKind::GuritaLocal.build_plane();
     matches!(
-        sim.try_run_control_with_faults(Vec::new(), plane.as_mut(), &FaultSchedule::new()),
+        sim.try_run(Vec::new(), plane.as_mut(), &FaultSchedule::new(), None),
         Err(SimError::InvalidFault { .. })
     )
 }

@@ -4,11 +4,14 @@
 //! spawning (so failures produce backtraces, not exit codes).
 
 use gurita_daemon::client::Client;
+use gurita_daemon::protocol::{read_line, Response, MAX_FRAME_BYTES};
 use gurita_daemon::server::{serve, DaemonConfig, ServeReport};
 use gurita_experiments::roster::SchedulerKind;
 use gurita_model::{CoflowSpec, FlowSpec, HostId, JobDag, JobSpec};
 use gurita_workload::arrivals::ArrivalProcess;
 use gurita_workload::generator::{JobGenerator, WorkloadConfig};
+use std::io::{BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -194,6 +197,44 @@ fn negative_arrival_is_refused_and_the_daemon_keeps_serving() {
     client.submit("good", &[], &job(2, 1.0)).unwrap();
     let stats = client.drain().unwrap();
     assert_eq!(stats.jobs_done, 1, "the valid job completes");
+    daemon.join().unwrap().unwrap();
+}
+
+/// An oversized frame gets an error reply and its connection closed;
+/// the daemon keeps serving new connections.
+#[test]
+fn oversized_frame_is_refused_and_the_daemon_keeps_serving() {
+    let (socket, daemon, mut client) = start("bigframe", SchedulerKind::Gurita, TEST_PACE);
+
+    let stream = UnixStream::connect(&socket).expect("connect");
+    let mut frame = b"{\"cmd\":\"ping\"}".to_vec();
+    frame.resize(MAX_FRAME_BYTES + 1, b' ');
+    frame.push(b'\n');
+    let mut writer = stream.try_clone().unwrap();
+    // The daemon hangs up before reading the whole frame, so the tail
+    // of the write may fail; only the reply matters.
+    let sender = std::thread::spawn(move || {
+        let _ = writer.write_all(&frame);
+    });
+    let mut reader = BufReader::new(stream);
+    let reply: Response = read_line(&mut reader)
+        .expect("an error reply, not a dropped connection")
+        .expect("a reply before the hang-up");
+    sender.join().unwrap();
+    assert!(!reply.ok);
+    assert!(
+        reply
+            .error
+            .as_deref()
+            .unwrap_or("")
+            .contains("frame longer"),
+        "unexpected reply: {reply:?}"
+    );
+
+    let mut fresh = Client::connect(&socket).expect("a new connection is accepted");
+    fresh.ping().expect("ping after the oversized frame");
+    client.ping().expect("other connections are unaffected");
+    client.shutdown().unwrap();
     daemon.join().unwrap().unwrap();
 }
 

@@ -65,9 +65,9 @@ fn mid_run_degrade_restore_conserves_bytes_for_every_scheduler() {
     }
     for kind in SchedulerKind::PAPER_SET {
         let mut sim = Simulation::new(FatTree::new(8).unwrap(), SimConfig::default());
-        let mut sched = kind.build();
+        let mut plane = kind.build_plane();
         let res = sim
-            .try_run_with_faults(jobs.clone(), sched.as_mut(), &faults)
+            .try_run(jobs.clone(), plane.as_mut(), &faults, None)
             .unwrap_or_else(|e| panic!("{kind:?} failed under degrade/restore: {e}"));
         assert_eq!(res.jobs.len(), jobs.len(), "{kind:?} lost jobs");
         let total: f64 = jobs.iter().map(|j| j.total_bytes()).sum();
@@ -94,9 +94,9 @@ fn fail_recover_cycle_reroutes_or_parks_without_budget_exhaustion() {
     }
     for kind in SchedulerKind::PAPER_SET {
         let mut sim = Simulation::new(FatTree::new(8).unwrap(), SimConfig::default());
-        let mut sched = kind.build();
+        let mut plane = kind.build_plane();
         let res = sim
-            .try_run_with_faults(jobs.clone(), sched.as_mut(), &faults)
+            .try_run(jobs.clone(), plane.as_mut(), &faults, None)
             .unwrap_or_else(|e| panic!("{kind:?} failed under fail/recover: {e}"));
         assert_eq!(res.jobs.len(), jobs.len(), "{kind:?} lost jobs");
         // Every parked flow must have resumed (the run drained).
@@ -132,9 +132,9 @@ fn chaos_acceptance_brownout_plus_core_link_failure() {
     let total: f64 = jobs.iter().map(|j| j.total_bytes()).sum();
     for kind in SchedulerKind::PAPER_SET {
         let mut sim = Simulation::new(fabric.clone(), SimConfig::default());
-        let mut sched = kind.build();
+        let mut plane = kind.build_plane();
         let res = sim
-            .try_run_with_faults(jobs.clone(), sched.as_mut(), &faults)
+            .try_run(jobs.clone(), plane.as_mut(), &faults, None)
             .unwrap_or_else(|e| panic!("{kind:?} failed the chaos scenario: {e}"));
         assert_eq!(res.jobs.len(), jobs.len(), "{kind:?} lost jobs");
         let delivered: f64 = res.coflows.iter().map(|c| c.bytes).sum();

@@ -56,7 +56,7 @@ fn sim_config(latency: f64, threads: usize, faults: Option<ControlFaults>) -> Si
 fn run_offline(kind: SchedulerKind, jobs: &[JobSpec], config: &SimConfig) -> RunResult {
     let mut plane = kind.build_plane();
     Simulation::new(fabric(), config.clone())
-        .try_run_control(jobs.to_vec(), plane.as_mut())
+        .try_run(jobs.to_vec(), plane.as_mut(), &FaultSchedule::new(), None)
         .expect("offline run failed")
 }
 

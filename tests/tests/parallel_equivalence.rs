@@ -24,7 +24,7 @@ use gurita_model::{HostId, JobSpec};
 use gurita_sim::faults::{FaultEvent, FaultSchedule};
 use gurita_sim::runtime::{SimConfig, Simulation};
 use gurita_sim::stats::RunResult;
-use gurita_sim::telemetry::{MemorySink, TelemetryConfig};
+use gurita_sim::telemetry::{MemorySink, TelemetryConfig, TelemetrySink};
 use gurita_sim::topology::{FatTree, LinkId};
 use gurita_workload::dags::StructureKind;
 use gurita_workload::generator::{JobGenerator, WorkloadConfig};
@@ -99,14 +99,10 @@ fn run_once_cfg(
         },
     );
     let mut plane = kind.build_plane();
-    if telemetry {
-        let mut sink = MemorySink::new();
-        sim.try_run_control_with_faults_traced(jobs.to_vec(), plane.as_mut(), faults, &mut sink)
-            .unwrap()
-    } else {
-        sim.try_run_control_with_faults(jobs.to_vec(), plane.as_mut(), faults)
-            .unwrap()
-    }
+    let mut sink = MemorySink::new();
+    let sink = telemetry.then_some(&mut sink as &mut dyn TelemetrySink);
+    sim.try_run(jobs.to_vec(), plane.as_mut(), faults, sink)
+        .unwrap()
 }
 
 /// Flagship Gurita, serial, differing from the default config only in
@@ -120,7 +116,7 @@ fn run_gurita(jobs: &[JobSpec], faults: &FaultSchedule, force_full: bool) -> Run
         },
     );
     let mut plane = SchedulerKind::Gurita.build_plane();
-    sim.try_run_control_with_faults(jobs.to_vec(), plane.as_mut(), faults)
+    sim.try_run(jobs.to_vec(), plane.as_mut(), faults, None)
         .unwrap()
 }
 

@@ -12,7 +12,9 @@ use gurita_sim::faults::{FaultEvent, FaultSchedule};
 use gurita_sim::metrics::{MetricsConfig, MetricsSink};
 use gurita_sim::runtime::{SimConfig, Simulation};
 use gurita_sim::stats::RunResult;
-use gurita_sim::telemetry::{ChromeTraceSink, MemorySink, TelemetryConfig, TraceRecord};
+use gurita_sim::telemetry::{
+    ChromeTraceSink, MemorySink, TelemetryConfig, TelemetrySink, TraceRecord,
+};
 use gurita_sim::topology::{FatTree, LinkId};
 use gurita_workload::dags::StructureKind;
 use gurita_workload::generator::{JobGenerator, WorkloadConfig};
@@ -63,14 +65,9 @@ fn run_once(
         },
     );
     let mut plane = kind.build_plane();
-    match sink {
-        Some(sink) => sim
-            .try_run_control_with_faults_traced(jobs.to_vec(), plane.as_mut(), faults, sink)
-            .unwrap(),
-        None => sim
-            .try_run_control_with_faults(jobs.to_vec(), plane.as_mut(), faults)
-            .unwrap(),
-    }
+    let sink = sink.map(|s| s as &mut dyn TelemetrySink);
+    sim.try_run(jobs.to_vec(), plane.as_mut(), faults, sink)
+        .unwrap()
 }
 
 proptest! {
@@ -123,7 +120,7 @@ fn run_with_metrics(
         },
     );
     let mut plane = kind.build_plane();
-    sim.try_run_control_with_faults_traced(jobs.to_vec(), plane.as_mut(), faults, sink)
+    sim.try_run(jobs.to_vec(), plane.as_mut(), faults, Some(sink))
         .unwrap()
 }
 
