@@ -18,8 +18,8 @@
 //!                 │  global view, │  │  reports merge into a cluster │
 //!                 │  instant)     │  │  view; the decision table is  │
 //!                 └───────────────┘  │  delivered after a configured │
-//!                                    │  `control_latency` via timed  │
-//!                                    │  `ControlUpdate` events       │
+//!                                    │  `control_latency` by a timer │
+//!                                    │  fired through `on_timer`     │
 //!                                    └───────────────────────────────┘
 //! ```
 //!
@@ -34,13 +34,17 @@
 //!   ([`merge_reports`]) from which the scheme computes a fresh
 //!   [`PriorityTable`].
 //! * **Decision downlink** — with `control_latency > 0` the fresh table
-//!   is *not* applied immediately: it is queued and the runtime delivers
-//!   it through the event loop after the configured latency. Until
+//!   is *not* applied immediately: the plane holds it under a timer
+//!   token and returns `(control_latency, token)` in
+//!   [`ControlOutput::timers`]; when the runtime fires the timer,
+//!   [`ControlPlane::on_timer`] makes the table current. Until
 //!   delivery, hosts keep (re-)applying the **last delivered** table —
 //!   i.e. they act on a stale view, the behavior that separates
-//!   decentralized schemes from idealized instantaneous ones.
+//!   decentralized schemes from idealized instantaneous ones. Under an
+//!   armed [`ControlFaults`] profile the same timer channel carries the
+//!   lossy per-host protocol (deliveries, acks, retry checks).
 //!
-//! Consecutive identical tables are deduplicated (no event is scheduled
+//! Consecutive identical tables are deduplicated (no timer is scheduled
 //! when the decision did not change), so the event count stays
 //! proportional to actual priority churn.
 //!
@@ -61,7 +65,7 @@ use crate::sched::{CoflowObs, JobObs, Observation, Oracle, QueuePolicy, Schedule
 use crate::stats::ControlResilience;
 use crate::telemetry::TraceRecord;
 use gurita_model::{CoflowId, HostId, JobId};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 
 /// A priority decision: the queue for each listed coflow. Entries for
 /// coflows that completed while the table was in flight are skipped at
@@ -256,39 +260,29 @@ pub enum ControlInput<'a> {
     },
 }
 
-/// What the plane wants done after a decision point.
-#[derive(Default)]
+/// What the plane wants done after a decision point
+/// ([`ControlPlane::decide`]) or a timer ([`ControlPlane::on_timer`]).
+/// The runtime applies every part the same way from either call.
+#[derive(Debug, Default)]
 pub struct ControlOutput {
-    /// Queue assignments to apply *now* (for the decentralized plane,
-    /// the last *delivered* table — hosts acting on their stale view).
+    /// Queue assignments to apply *now*, cluster-wide (for the
+    /// decentralized plane, the last *delivered* table — hosts acting
+    /// on their stale view).
     pub assignments: PriorityTable,
-    /// If set, the runtime schedules a `ControlUpdate` event
-    /// `control_latency` from now carrying this token; on firing it
-    /// calls [`ControlPlane::deliver`] with it.
-    pub schedule_update: Option<u64>,
     /// Per-sender-host tables, applied only to the flows *sourced at*
     /// each listed host. Populated only by fault-armed decentralized
     /// planes (where hosts may hold diverging tables); empty on every
-    /// legacy path, where `assignments` applies cluster-wide.
+    /// other path, where `assignments` applies cluster-wide.
     pub host_assignments: Vec<(HostId, PriorityTable)>,
-    /// Protocol timers to schedule: `(delay_from_now, token)` pairs.
-    /// The runtime turns each into a `ControlTimer` event and routes it
-    /// back through [`ControlPlane::on_timer`]. Empty on legacy paths.
+    /// Timers to schedule: `(delay_from_now, token)` pairs. The runtime
+    /// turns each into a `ControlTimer` event and routes it back through
+    /// [`ControlPlane::on_timer`]. The decentralized plane uses them for
+    /// delayed table delivery and, under a fault profile, for its
+    /// ack/retry protocol; empty on instantaneous paths.
     pub timers: Vec<(f64, u64)>,
-    /// Control-protocol trace records; the runtime forwards them to the
-    /// telemetry sink when one is armed. Built only on fault paths, so
-    /// healthy runs pay nothing.
-    pub trace: Vec<TraceRecord>,
-}
-
-/// Side effects of one control-protocol step
-/// ([`ControlPlane::on_timer`]): follow-up timers plus trace records.
-#[derive(Debug, Default)]
-pub struct ControlEffects {
-    /// `(delay_from_now, token)` pairs to schedule as `ControlTimer`
-    /// events.
-    pub timers: Vec<(f64, u64)>,
-    /// Trace records for the telemetry sink.
+    /// Control-plane trace records; the runtime forwards them to the
+    /// telemetry sink when one is armed. Built only on the delayed and
+    /// fault paths, so instantaneous runs pay nothing.
     pub trace: Vec<TraceRecord>,
 }
 
@@ -297,7 +291,9 @@ pub struct ControlEffects {
 /// Two implementations ship: [`Centralized`] (today's behavior, wraps
 /// any [`Scheduler`]) and [`Decentralized`] (per-host agents, merged
 /// reports, delayed delivery). The runtime drives either through this
-/// object-safe interface.
+/// object-safe interface: it calls [`ControlPlane::decide`] at every
+/// decision point and [`ControlPlane::on_timer`] whenever a timer the
+/// plane asked for fires, and applies the [`ControlOutput`] of both.
 pub trait ControlPlane {
     /// Display name of the scheme (used in result tables).
     fn name(&self) -> String;
@@ -317,19 +313,8 @@ pub trait ControlPlane {
     }
 
     /// One decision point: consume the input, return assignments to
-    /// apply now and (optionally) a delayed-delivery request.
+    /// apply now and any timers to schedule (e.g. a delayed delivery).
     fn decide(&mut self, input: ControlInput<'_>) -> ControlOutput;
-
-    /// A `ControlUpdate` event fired: the table scheduled under `token`
-    /// reaches the hosts. Returns the newly current table (the runtime
-    /// applies it at the same decision point via
-    /// [`ControlOutput::assignments`], so implementations may simply
-    /// record it). Default: ignore (the centralized plane never
-    /// schedules updates).
-    fn deliver(&mut self, token: u64) -> Option<PriorityTable> {
-        let _ = token;
-        None
-    }
 
     /// Service policy for the scheme's queues, derived from
     /// `decide`-time state (see [`Scheduler::queue_policy`]'s contract:
@@ -354,13 +339,17 @@ pub trait ControlPlane {
         let _ = faults;
     }
 
-    /// A `ControlTimer` event fired: run the protocol step registered
-    /// under `token` (delivery, ack receipt, or retry check) and return
-    /// any follow-up timers plus trace records. Default: nothing
-    /// (planes without a fault profile never schedule timers).
-    fn on_timer(&mut self, token: u64, now: f64) -> ControlEffects {
+    /// A timer the plane returned in [`ControlOutput::timers`] fired:
+    /// run the step registered under `token` (a delayed table's
+    /// delivery, or an ack receipt or retry check under a fault
+    /// profile) and return what to apply, follow-up timers, and trace
+    /// records. A table made current here reaches the flows at the
+    /// decision point that follows in the same event. Unknown tokens
+    /// are ignored. Default: nothing (the centralized plane never
+    /// schedules timers).
+    fn on_timer(&mut self, token: u64, now: f64) -> ControlOutput {
         let _ = (token, now);
-        ControlEffects::default()
+        ControlOutput::default()
     }
 
     /// A scheduled [`ControlFaultEvent`] fired (agent crash/restart,
@@ -505,9 +494,12 @@ impl HostChannel {
     }
 }
 
-/// An in-flight protocol step, keyed by timer token.
+/// An in-flight control step, keyed by timer token.
 #[derive(Debug, Clone)]
 enum TimerPayload {
+    /// A delayed table decided at `issued` reaches every host at once
+    /// (the zero-fault path with `control_latency > 0`).
+    Update { table: PriorityTable, issued: f64 },
     /// A table transmission arrives at `host`.
     Deliver {
         host: usize,
@@ -518,6 +510,24 @@ enum TimerPayload {
     Ack { host: usize, seq: u64 },
     /// Ack-timeout check for transmission number `attempt` of `seq`.
     Retry { host: usize, seq: u64, attempt: u32 },
+}
+
+/// The plane's in-flight timers: one token space shared by delayed
+/// deliveries and the fault protocol.
+#[derive(Debug, Default)]
+struct Timers {
+    /// Timer token → pending step.
+    payloads: HashMap<u64, TimerPayload>,
+    next_token: u64,
+}
+
+impl Timers {
+    fn mint_token(&mut self, payload: TimerPayload) -> u64 {
+        let token = self.next_token;
+        self.next_token += 1;
+        self.payloads.insert(token, payload);
+        token
+    }
 }
 
 /// The armed control-fault machinery of a [`Decentralized`] plane.
@@ -537,9 +547,6 @@ struct FaultState {
     partitioned: bool,
     /// Channel one-way latency, captured from the decide input.
     latency: f64,
-    /// Timer token → pending protocol step.
-    payloads: HashMap<u64, TimerPayload>,
-    next_token: u64,
     /// Host index → highest acked sequence number.
     acked: HashMap<usize, u64>,
     resilience: ControlResilience,
@@ -555,18 +562,9 @@ impl FaultState {
             latest_table: PriorityTable::new(),
             partitioned: false,
             latency: 0.0,
-            payloads: HashMap::new(),
-            next_token: 0,
             acked: HashMap::new(),
             resilience: ControlResilience::default(),
         }
-    }
-
-    fn mint_token(&mut self, payload: TimerPayload) -> u64 {
-        let token = self.next_token;
-        self.next_token += 1;
-        self.payloads.insert(token, payload);
-        token
     }
 
     /// One transmission of `latest_table` toward `host` through the
@@ -576,12 +574,12 @@ impl FaultState {
     /// backoff.
     fn transmit(
         &mut self,
+        timers: &mut Timers,
         host: usize,
         seq: u64,
         attempt: u32,
         now: f64,
-        timers: &mut Vec<(f64, u64)>,
-        trace: &mut Vec<TraceRecord>,
+        out: &mut ControlOutput,
     ) {
         self.resilience.messages_sent += 1;
         let dropped = self.rng.next_f64() < self.profile.drop_prob;
@@ -589,7 +587,8 @@ impl FaultState {
         let duplicated = self.rng.next_f64() < self.profile.duplicate_prob;
         if dropped {
             self.resilience.messages_dropped += 1;
-            trace.push(TraceRecord::ControlDropped { t: now, host, seq });
+            out.trace
+                .push(TraceRecord::ControlDropped { t: now, host, seq });
         } else {
             let delay = self.latency
                 + if reordered {
@@ -598,19 +597,19 @@ impl FaultState {
                     0.0
                 };
             let table = self.latest_table.clone();
-            let token = self.mint_token(TimerPayload::Deliver { host, seq, table });
-            timers.push((delay, token));
+            let token = timers.mint_token(TimerPayload::Deliver { host, seq, table });
+            out.timers.push((delay, token));
         }
         if duplicated {
             self.resilience.messages_duplicated += 1;
             let table = self.latest_table.clone();
-            let token = self.mint_token(TimerPayload::Deliver { host, seq, table });
-            timers.push((self.latency, token));
+            let token = timers.mint_token(TimerPayload::Deliver { host, seq, table });
+            out.timers.push((self.latency, token));
         }
         let backoff = (self.profile.ack_timeout * self.profile.backoff_factor.powi(attempt as i32))
             .min(self.profile.max_backoff);
-        let token = self.mint_token(TimerPayload::Retry { host, seq, attempt });
-        timers.push((backoff, token));
+        let token = timers.mint_token(TimerPayload::Retry { host, seq, attempt });
+        out.timers.push((backoff, token));
     }
 }
 
@@ -625,11 +624,11 @@ pub struct Decentralized {
     /// The last table delivered to (and therefore acted on by) hosts.
     current: PriorityTable,
     /// The last table computed and either applied (zero latency) or
-    /// queued for delivery — used to dedup unchanged decisions.
+    /// sent for delayed delivery — used to dedup unchanged decisions.
     last_emitted: PriorityTable,
-    /// Tables in flight: `(token, table)`, delivery-ordered.
-    pending: VecDeque<(u64, PriorityTable)>,
-    next_token: u64,
+    /// In-flight timers: delayed deliveries and, when armed, the fault
+    /// protocol's steps.
+    timers: Timers,
     /// Armed control-fault machinery; `None` on the legacy path.
     faults: Option<FaultState>,
 }
@@ -639,7 +638,7 @@ impl std::fmt::Debug for Decentralized {
         f.debug_struct("Decentralized")
             .field("head", &self.head.name())
             .field("agents", &self.agents.len())
-            .field("pending", &self.pending.len())
+            .field("pending", &self.pending_updates())
             .finish_non_exhaustive()
     }
 }
@@ -660,8 +659,7 @@ impl Decentralized {
             agents: HashMap::new(),
             current: PriorityTable::new(),
             last_emitted: PriorityTable::new(),
-            pending: VecDeque::new(),
-            next_token: 0,
+            timers: Timers::default(),
             faults: None,
         }
     }
@@ -671,17 +669,20 @@ impl Decentralized {
         self.agents.len()
     }
 
-    /// Tables currently in flight to the hosts: legacy `ControlUpdate`
-    /// deliveries plus, when a fault profile is armed, protocol
-    /// deliveries still on the wire.
+    /// Tables currently in flight to the hosts: delayed deliveries plus,
+    /// when a fault profile is armed, protocol deliveries still on the
+    /// wire.
     pub fn pending_updates(&self) -> usize {
-        let in_flight = self.faults.as_ref().map_or(0, |fs| {
-            fs.payloads
-                .values()
-                .filter(|p| matches!(p, TimerPayload::Deliver { .. }))
-                .count()
-        });
-        self.pending.len() + in_flight
+        self.timers
+            .payloads
+            .values()
+            .filter(|p| {
+                matches!(
+                    p,
+                    TimerPayload::Update { .. } | TimerPayload::Deliver { .. }
+                )
+            })
+            .count()
     }
 
     /// The decision point under an armed fault profile: digest reports
@@ -700,6 +701,7 @@ impl Decentralized {
             agents,
             factory,
             faults,
+            timers,
             ..
         } = self;
         let fs = faults
@@ -760,7 +762,7 @@ impl Decentralized {
                     ch.applied_at = now;
                 }
                 if needs_send {
-                    fs.transmit(h, latest, 0, now, &mut out.timers, &mut out.trace);
+                    fs.transmit(timers, h, latest, 0, now, &mut out);
                 }
             }
         }
@@ -838,15 +840,29 @@ impl ControlPlane for Decentralized {
         }
     }
 
-    fn on_timer(&mut self, token: u64, now: f64) -> ControlEffects {
-        let mut fx = ControlEffects::default();
-        let Some(fs) = self.faults.as_mut() else {
-            return fx;
+    fn on_timer(&mut self, token: u64, now: f64) -> ControlOutput {
+        let mut out = ControlOutput::default();
+        let Some(payload) = self.timers.payloads.remove(&token) else {
+            return out;
         };
-        let Some(payload) = fs.payloads.remove(&token) else {
-            return fx;
-        };
+        if let TimerPayload::Update { table, issued } = payload {
+            // Every host now acts on this table; the decision point that
+            // follows applies it.
+            self.current = table;
+            out.trace.push(TraceRecord::ControlDelivered {
+                t: now,
+                token,
+                staleness: now - issued,
+            });
+            return out;
+        }
+        let fs = self
+            .faults
+            .as_mut()
+            .expect("protocol timers need an armed profile");
+        let timers = &mut self.timers;
         match payload {
+            TimerPayload::Update { .. } => unreachable!("handled above"),
             TimerPayload::Deliver { host, seq, table } => {
                 let ch = fs
                     .channels
@@ -857,21 +873,20 @@ impl ControlPlane for Decentralized {
                     // resync (sent_seq reset) re-drives delivery.
                 } else if ch.applied_seq.is_some_and(|a| a >= seq) {
                     fs.resilience.messages_deduped += 1;
-                    fx.trace
+                    out.trace
                         .push(TraceRecord::ControlDeduped { t: now, host, seq });
                 } else {
                     ch.applied_seq = Some(seq);
                     ch.applied_at = now;
                     ch.table = table;
-                    fx.trace
+                    out.trace
                         .push(TraceRecord::ControlApplied { t: now, host, seq });
                     // The ack rides the same lossy channel back.
                     if fs.rng.next_f64() < fs.profile.drop_prob {
                         fs.resilience.acks_lost += 1;
                     } else {
-                        let latency = fs.latency;
-                        let token = fs.mint_token(TimerPayload::Ack { host, seq });
-                        fx.timers.push((latency, token));
+                        let token = timers.mint_token(TimerPayload::Ack { host, seq });
+                        out.timers.push((fs.latency, token));
                     }
                 }
             }
@@ -897,17 +912,17 @@ impl ControlPlane for Decentralized {
                     fs.resilience.retries_abandoned += 1;
                 } else {
                     fs.resilience.messages_retried += 1;
-                    fx.trace.push(TraceRecord::ControlRetransmit {
+                    out.trace.push(TraceRecord::ControlRetransmit {
                         t: now,
                         host,
                         seq,
                         attempt: attempt + 1,
                     });
-                    fs.transmit(host, seq, attempt + 1, now, &mut fx.timers, &mut fx.trace);
+                    fs.transmit(timers, host, seq, attempt + 1, now, &mut out);
                 }
             }
         }
-        fx
+        out
     }
 
     fn control_fault(&mut self, event: &ControlFaultEvent, now: f64) -> Vec<TraceRecord> {
@@ -1018,30 +1033,21 @@ impl ControlPlane for Decentralized {
                 ..ControlOutput::default()
             };
         }
-        let schedule_update = if table != self.last_emitted {
-            let token = self.next_token;
-            self.next_token += 1;
-            self.pending.push_back((token, table.clone()));
-            self.last_emitted = table;
-            Some(token)
-        } else {
-            None
-        };
         // Hosts keep acting on the last *delivered* table — new flows of
         // known coflows are tagged with the stale priority, exactly what
         // a sender with a lagging view would do.
-        ControlOutput {
+        let mut out = ControlOutput {
             assignments: self.current.clone(),
-            schedule_update,
             ..ControlOutput::default()
+        };
+        if table != self.last_emitted {
+            self.last_emitted.clone_from(&table);
+            let token = self
+                .timers
+                .mint_token(TimerPayload::Update { table, issued: now });
+            out.timers.push((latency, token));
         }
-    }
-
-    fn deliver(&mut self, token: u64) -> Option<PriorityTable> {
-        let idx = self.pending.iter().position(|(t, _)| *t == token)?;
-        let (_, table) = self.pending.remove(idx)?;
-        self.current = table;
-        Some(self.current.clone())
+        out
     }
 
     fn queue_policy(&mut self) -> QueuePolicy {
@@ -1183,7 +1189,7 @@ mod tests {
             views: vec![view(0, 0, 1.0), view(1, 1, 9.0)],
         });
         assert_eq!(out.assignments, vec![(CoflowId(0), 0), (CoflowId(1), 1)]);
-        assert!(out.schedule_update.is_none());
+        assert!(out.timers.is_empty());
         assert_eq!(plane.num_agents(), 2);
         assert_eq!(plane.pending_updates(), 0);
     }
@@ -1191,38 +1197,41 @@ mod tests {
     #[test]
     fn positive_latency_delays_delivery_and_dedups() {
         let mut plane = Decentralized::new(|| Box::new(CountingAgent { decisions: 0 }));
-        let views = || vec![view(0, 0, 9.0)];
-        // First decision: nothing delivered yet, one update scheduled.
-        let out = plane.decide(ControlInput::Local {
-            now: 0.0,
-            latency: 0.01,
-            views: views(),
-        });
+        let decide = |plane: &mut Decentralized, now: f64| {
+            plane.decide(ControlInput::Local {
+                now,
+                latency: 0.01,
+                views: vec![view(0, 0, 9.0)],
+            })
+        };
+        // First decision: nothing delivered yet, one delivery timer.
+        let out = decide(&mut plane, 0.0);
         assert!(out.assignments.is_empty(), "nothing delivered yet");
-        let token = out.schedule_update.expect("fresh table scheduled");
-        // Same decision again: deduplicated, no second event.
-        let out2 = plane.decide(ControlInput::Local {
-            now: 0.005,
-            latency: 0.01,
-            views: views(),
-        });
+        let &[(0.01, token)] = out.timers.as_slice() else {
+            panic!("fresh table must schedule one delivery: {:?}", out.timers)
+        };
+        assert_eq!(plane.pending_updates(), 1);
+        // Same decision again: deduplicated, no second timer.
+        let out2 = decide(&mut plane, 0.005);
+        assert!(out2.timers.is_empty(), "unchanged table re-scheduled");
+        // Delivery makes the table current and reports its age; later
+        // decisions apply it.
+        let fired = plane.on_timer(token, 0.01);
+        assert_eq!(plane.pending_updates(), 0);
+        assert!(fired.timers.is_empty());
         assert!(
-            out2.schedule_update.is_none(),
-            "unchanged table re-scheduled"
+            matches!(fired.trace[..], [TraceRecord::ControlDelivered { t: 0.01, token: d, staleness: 0.01 }] if d == token),
+            "{:?}",
+            fired.trace
         );
-        // Delivery makes the table current; later decisions apply it.
-        assert_eq!(
-            plane.deliver(token),
-            Some(vec![(CoflowId(0), 1)]),
-            "delivered table"
+        assert_eq!(decide(&mut plane, 0.02).assignments, vec![(CoflowId(0), 1)]);
+        // Unknown (or already fired) tokens are ignored.
+        assert!(
+            plane.on_timer(999, 0.03).trace.is_empty(),
+            "unknown token ignored"
         );
-        let out3 = plane.decide(ControlInput::Local {
-            now: 0.02,
-            latency: 0.01,
-            views: views(),
-        });
-        assert_eq!(out3.assignments, vec![(CoflowId(0), 1)]);
-        assert!(plane.deliver(999).is_none(), "unknown token ignored");
+        assert!(plane.on_timer(token, 0.03).trace.is_empty());
+        assert_eq!(decide(&mut plane, 0.04).assignments, vec![(CoflowId(0), 1)]);
     }
 
     fn armed_plane(profile: &ControlFaults) -> Decentralized {

@@ -66,6 +66,13 @@ pub enum SimError {
         /// Human-readable description of the rejected value.
         reason: String,
     },
+    /// The simulation configuration carries a value the event loop
+    /// cannot run with: a tick interval that is not a finite time `> 0`,
+    /// or a control latency that is not a finite time `>= 0`.
+    InvalidConfig {
+        /// Human-readable description of the rejected setting.
+        reason: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -104,6 +111,9 @@ impl fmt::Display for SimError {
             }
             SimError::InvalidJob { job, reason } => {
                 write!(f, "job {job} is invalid: {reason}")
+            }
+            SimError::InvalidConfig { reason } => {
+                write!(f, "invalid simulation config: {reason}")
             }
         }
     }
@@ -152,6 +162,11 @@ mod tests {
         }
         .to_string()
         .contains("invalid: arrival"));
+        assert!(SimError::InvalidConfig {
+            reason: "tick_interval 0".into()
+        }
+        .to_string()
+        .contains("config: tick_interval"));
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //!   links; on a hard [`FaultEvent::FailLink`] it reroutes affected
 //!   flows via ECMP re-salting (preserving bytes already delivered) and
 //!   parks flows with no surviving path until the matching
-//!   [`FaultEvent::RecoverLink`]. [`MutableFabric`] exposes the same
-//!   overlay as a standalone [`Fabric`] for tests and tools.
+//!   [`FaultEvent::RecoverLink`].
 //!
 //! Degradations never touch routing (ECMP stays oblivious, exactly like
 //! real unequal-capacity incidents); only hard failures do.
@@ -397,8 +396,8 @@ impl FaultSchedule {
 /// Live capacity state accumulated from applied [`FaultEvent`]s:
 /// per-link degradation factors plus the set of hard-failed links.
 ///
-/// The runtime owns one per faulted run; [`MutableFabric`] packages one
-/// with a base fabric for standalone use.
+/// The runtime owns one per faulted run and multiplies each link's base
+/// capacity by [`FaultOverlay::scale`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultOverlay {
     factors: HashMap<usize, f64>,
@@ -518,87 +517,6 @@ impl FaultImpact {
             .chain(self.revived.iter())
             .chain(self.rescaled.iter())
             .copied()
-    }
-}
-
-/// A fabric whose capacities change as faults are applied: a base
-/// [`Fabric`] composed with a [`FaultOverlay`].
-///
-/// Hard-failed links report zero capacity; routing is delegated
-/// unchanged (callers decide how to react to dead links, exactly as the
-/// runtime does via rerouting/parking).
-///
-/// # Example
-///
-/// ```
-/// use gurita_sim::faults::{FaultEvent, MutableFabric};
-/// use gurita_sim::topology::{BigSwitch, Fabric, LinkId};
-/// let mut fab = MutableFabric::new(BigSwitch::new(4, 100.0));
-/// fab.apply(&FaultEvent::DegradeLink { link: LinkId(1), factor: 0.5 });
-/// assert_eq!(fab.link_capacity(LinkId(1)), 50.0);
-/// fab.apply(&FaultEvent::FailLink { link: LinkId(1) });
-/// assert_eq!(fab.link_capacity(LinkId(1)), 0.0);
-/// fab.apply(&FaultEvent::RecoverLink { link: LinkId(1) });
-/// assert_eq!(fab.link_capacity(LinkId(1)), 50.0); // degradation persists
-/// ```
-#[derive(Debug, Clone)]
-pub struct MutableFabric<F> {
-    inner: F,
-    overlay: FaultOverlay,
-}
-
-impl<F: Fabric> MutableFabric<F> {
-    /// Wraps a healthy fabric.
-    pub fn new(inner: F) -> Self {
-        Self {
-            inner,
-            overlay: FaultOverlay::new(),
-        }
-    }
-
-    /// Applies one fault event, mutating capacities in place. Returns
-    /// exactly which links changed as a [`FaultImpact`].
-    pub fn apply(&mut self, event: &FaultEvent) -> FaultImpact {
-        let n = self.inner.num_hosts();
-        self.overlay.apply(event, n)
-    }
-
-    /// The live fault state.
-    pub fn overlay(&self) -> &FaultOverlay {
-        &self.overlay
-    }
-
-    /// Borrows the wrapped fabric.
-    pub fn inner(&self) -> &F {
-        &self.inner
-    }
-}
-
-impl<F: Fabric> Fabric for MutableFabric<F> {
-    fn num_hosts(&self) -> usize {
-        self.inner.num_hosts()
-    }
-
-    fn num_links(&self) -> usize {
-        self.inner.num_links()
-    }
-
-    fn link_capacity(&self, l: LinkId) -> f64 {
-        self.inner.link_capacity(l) * self.overlay.scale(l)
-    }
-
-    fn path(&self, src: HostId, dst: HostId, salt: u64) -> Result<Vec<LinkId>, SimError> {
-        self.inner.path(src, dst, salt)
-    }
-
-    fn path_ref(
-        &self,
-        src: HostId,
-        dst: HostId,
-        salt: u64,
-        arena: &mut PathArena,
-    ) -> Result<PathRef, SimError> {
-        self.inner.path_ref(src, dst, salt, arena)
     }
 }
 
@@ -1294,28 +1212,27 @@ mod tests {
     }
 
     #[test]
-    fn mutable_fabric_layers_degradation_under_failure() {
-        let mut fab = MutableFabric::new(BigSwitch::new(4, 100.0));
-        fab.apply(&FaultEvent::BrownoutHost {
-            host: HostId(0),
-            factor: 0.25,
-        });
-        assert_eq!(fab.link_capacity(LinkId(0)), 25.0);
-        fab.apply(&FaultEvent::FailLink { link: LinkId(0) });
-        assert_eq!(fab.link_capacity(LinkId(0)), 0.0);
-        assert_eq!(fab.link_capacity(LinkId(4)), 25.0);
-        fab.apply(&FaultEvent::RecoverLink { link: LinkId(0) });
-        assert_eq!(fab.link_capacity(LinkId(0)), 25.0);
-        fab.apply(&FaultEvent::RestoreHost { host: HostId(0) });
-        assert_eq!(fab.link_capacity(LinkId(0)), 100.0);
-        assert_eq!(fab.overlay().num_degraded(), 0);
-        assert_eq!(fab.num_hosts(), 4);
-        assert_eq!(fab.num_links(), 8);
-        assert!(fab
-            .path(HostId(0), HostId(1), 3)
-            .unwrap()
-            .contains(&LinkId(0)));
-        assert_eq!(fab.inner().num_hosts(), 4);
+    fn overlay_layers_degradation_under_failure() {
+        // Host 0's up/down links are 0 and 4 on a 4-host big switch.
+        let mut o = FaultOverlay::new();
+        o.apply(
+            &FaultEvent::BrownoutHost {
+                host: HostId(0),
+                factor: 0.25,
+            },
+            4,
+        );
+        assert_eq!(o.scale(LinkId(0)), 0.25);
+        o.apply(&FaultEvent::FailLink { link: LinkId(0) }, 4);
+        assert_eq!(o.scale(LinkId(0)), 0.0);
+        assert_eq!(o.scale(LinkId(4)), 0.25);
+        // Recovery revives the link with its degradation intact.
+        o.apply(&FaultEvent::RecoverLink { link: LinkId(0) }, 4);
+        assert_eq!(o.scale(LinkId(0)), 0.25);
+        o.apply(&FaultEvent::RestoreHost { host: HostId(0) }, 4);
+        assert_eq!(o.scale(LinkId(0)), 1.0);
+        assert_eq!(o.scale(LinkId(4)), 1.0);
+        assert_eq!(o.num_degraded(), 0);
     }
 
     #[test]

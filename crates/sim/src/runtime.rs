@@ -20,7 +20,7 @@
 //! only to flows that start later.
 
 use crate::bandwidth::{Allocator, Demands, Discipline};
-use crate::control::{Centralized, ControlInput, ControlPlane, LocalObservation};
+use crate::control::{Centralized, ControlInput, ControlOutput, ControlPlane, LocalObservation};
 use crate::faults::{
     resalt_live_path, ControlFaultEvent, ControlFaults, FaultOverlay, FaultSchedule, TimedFault,
 };
@@ -39,7 +39,7 @@ use std::sync::Mutex;
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Scheduler update interval δ in seconds (the paper's periodic
-    /// receiver→HR update). Default: 5 ms.
+    /// receiver→HR update). Must be finite and `> 0`. Default: 5 ms.
     pub tick_interval: f64,
     /// Safety bound on processed events; the run aborts with
     /// [`SimError::EventBudgetExhausted`] beyond it. Default: 100 million.
@@ -49,10 +49,6 @@ pub struct SimConfig {
     /// times are exact to sub-microsecond at any realistic rate, while
     /// avoiding the floating-point stall of a vanishing residue.
     pub completion_eps: f64,
-    /// Collect per-link byte counters into
-    /// [`RunResult::link_bytes`]. Off by default (it adds `O(path)`
-    /// work per flow per event).
-    pub collect_link_stats: bool,
     /// Disable component-incremental rate recomputation and re-waterfill
     /// every flow after every event, as the pre-incremental engine did.
     /// Off by default; useful as a safety valve and as the reference
@@ -83,18 +79,20 @@ pub struct SimConfig {
     /// construction, so each call sees exactly the same demand
     /// subsequence, link capacities, and discipline regardless of where
     /// or when it runs), and the fanned advance updates each flow
-    /// independently with link-byte accounting merged in chunk order.
+    /// independently of every other.
     /// Parallelism only changes wall-clock time — pinned by the
     /// serial-vs-parallel equality property tests, including forced
     /// full passes.
     pub threads: usize,
     /// Decision-propagation latency of a decentralized control plane, in
     /// seconds: a fresh priority table computed from merged per-host
-    /// reports reaches the sender hosts this much later (as a timed
-    /// `ControlUpdate` event), so hosts act on a *stale* view in the
-    /// interim. `0` (the default) delivers instantaneously with no event
-    /// traffic — result-identical to the centralized adapter for ported
-    /// schemes. Ignored by [`crate::control::Centralized`].
+    /// reports reaches the sender hosts this much later (as a delivery
+    /// timer the plane returns, fired through
+    /// [`ControlPlane::on_timer`]), so hosts act on a *stale* view in
+    /// the interim. `0` (the default) delivers instantaneously with no
+    /// event traffic — result-identical to the centralized adapter for
+    /// ported schemes. Must be finite and `>= 0`. Ignored by
+    /// [`crate::control::Centralized`].
     pub control_latency: f64,
     /// Arms the telemetry layer (see [`crate::telemetry`]): lifecycle
     /// event tracing and epoch-sampled time series, delivered to the
@@ -120,7 +118,6 @@ impl Default for SimConfig {
             tick_interval: 5e-3,
             max_events: 100_000_000,
             completion_eps: 0.1,
-            collect_link_stats: false,
             force_full_recompute: false,
             threads: 1,
             control_latency: 0.0,
@@ -141,14 +138,9 @@ enum EventKind {
     Fault {
         index: usize,
     },
-    /// A delayed priority table reaches the hosts: hand `token` back to
-    /// [`ControlPlane::deliver`] (see [`SimConfig::control_latency`]).
-    ControlUpdate {
-        token: u64,
-    },
-    /// A control-protocol timer (table delivery, ack receipt, or retry
-    /// check under an armed fault profile): hand `token` back to
-    /// [`ControlPlane::on_timer`].
+    /// A control-plane timer (a delayed table's delivery, or an ack
+    /// receipt or retry check under an armed fault profile): hand
+    /// `token` back to [`ControlPlane::on_timer`].
     ControlTimer {
         token: u64,
     },
@@ -216,9 +208,9 @@ struct FlowState {
 /// [`FlowState`] keeps each sweep's working set at 8 bytes per flow per
 /// array instead of dragging the whole ~64-byte record through cache:
 ///
-/// * `advance_to` sweeps `rate` × `remaining` (plus `path` with link
-///   stats armed) — now a branch-poor, vectorizable kernel over dense
-///   `f64` lanes, and independently fan-able in index chunks;
+/// * `advance_to` sweeps `rate` × `remaining` — a branch-poor,
+///   vectorizable kernel over two dense `f64` lanes, and independently
+///   fan-able in index chunks;
 /// * the completion filter scans `remaining` / `path`;
 /// * the dirty-component BFS and the demand views walk `path`;
 /// * coflow attribution on completion/park reads `coflow`.
@@ -460,6 +452,9 @@ impl<F: Fabric> Simulation<F> {
     ///
     /// # Errors
     ///
+    /// * [`SimError::InvalidConfig`] if `config.tick_interval` is not a
+    ///   finite time `> 0` or `config.control_latency` is not a finite
+    ///   time `>= 0`;
     /// * [`SimError::InvalidFault`] if the schedule references unknown
     ///   links/hosts, uses a factor outside `(0, 1]`, or carries a
     ///   non-finite/negative time, or if `config.control_faults` fails
@@ -478,15 +473,42 @@ impl<F: Fabric> Simulation<F> {
         faults: &FaultSchedule,
         sink: Option<&mut dyn TelemetrySink>,
     ) -> Result<RunResult, SimError> {
-        faults.validate(&self.fabric)?;
-        if let Some(cf) = &self.config.control_faults {
-            cf.validate(self.fabric.num_hosts())?;
-        }
+        check_setup(&self.fabric, &self.config, faults)?;
         // Reborrow so the sink's trait-object lifetime can shrink to the
         // engine's.
         let sink = sink.map(|s| s as &mut dyn TelemetrySink);
         Engine::new(&self.fabric, &self.config, jobs, plane, faults, sink).run()
     }
+}
+
+/// Rejects a run setup the event loop cannot execute, before any event
+/// is queued: a tick interval that is zero, negative or non-finite
+/// (ticks would pile up at one instant and time would never advance), a
+/// negative or non-finite control latency (a NaN event time breaks the
+/// event heap's order), and fault schedules or control-fault profiles
+/// that do not fit the fabric.
+fn check_setup<F: Fabric>(
+    fabric: &F,
+    config: &SimConfig,
+    faults: &FaultSchedule,
+) -> Result<(), SimError> {
+    let tick = config.tick_interval;
+    if !(tick.is_finite() && tick > 0.0) {
+        return Err(SimError::InvalidConfig {
+            reason: format!("tick_interval {tick} is not a finite time > 0"),
+        });
+    }
+    let latency = config.control_latency;
+    if !(latency.is_finite() && latency >= 0.0) {
+        return Err(SimError::InvalidConfig {
+            reason: format!("control_latency {latency} is not a finite time >= 0"),
+        });
+    }
+    faults.validate(fabric)?;
+    if let Some(cf) = &config.control_faults {
+        cf.validate(fabric.num_hosts())?;
+    }
+    Ok(())
 }
 
 /// A flow counts toward its coflow's `flowing` tally when its rate
@@ -680,12 +702,6 @@ pub struct Engine<'a, F: Fabric> {
     completion_generation: u64,
     dirty: DirtyRates,
     tick_pending: bool,
-    /// Dense per-link byte counters (indexed by link id), populated only
-    /// when [`SimConfig::collect_link_stats`] is set — one fabric-sized
-    /// array beats the old `HashMap<usize, f64>`'s per-flow-per-link
-    /// `entry()` probe in the advance sweep by an order of magnitude.
-    /// Empty (never allocated) with stats off.
-    link_bytes: Vec<f64>,
 
     fault_schedule: Vec<TimedFault>,
     overlay: FaultOverlay,
@@ -751,9 +767,6 @@ pub struct Engine<'a, F: Fabric> {
     comp_bounds: Vec<usize>,
     /// Rate output buffer for the allocator (scratch).
     rate_buf: Vec<f64>,
-    /// Recycled per-chunk sparse `(link, bytes)` accumulators for the
-    /// fanned stats-on advance sweep (scratch).
-    advance_stat_bufs: Vec<Vec<(u32, f64)>>,
     /// Effective intra-run worker count (see [`SimConfig::threads`]).
     threads: usize,
     /// Parked worker threads for parallel recomputation; `None` when
@@ -862,11 +875,6 @@ impl<'a, F: Fabric> Engine<'a, F> {
             completion_generation: 0,
             dirty: DirtyRates::default(),
             tick_pending: false,
-            link_bytes: if config.collect_link_stats {
-                vec![0.0; fabric.num_links()]
-            } else {
-                Vec::new()
-            },
             fault_schedule,
             overlay: FaultOverlay::new(),
             control_timeline,
@@ -888,7 +896,6 @@ impl<'a, F: Fabric> Engine<'a, F> {
             component: Vec::new(),
             comp_bounds: Vec::new(),
             rate_buf: Vec::new(),
-            advance_stat_bufs: Vec::new(),
             threads,
             pool: (threads > 1).then(|| WorkerPool::new(threads)),
             worker_alloc: Vec::new(),
@@ -918,18 +925,17 @@ impl<'a, F: Fabric> Engine<'a, F> {
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidFault`] if `faults` or
-    /// `config.control_faults` fail validation against the fabric.
+    /// [`SimError::InvalidConfig`] if `config` carries an unusable tick
+    /// interval or control latency, and [`SimError::InvalidFault`] if
+    /// `faults` or `config.control_faults` fail validation against the
+    /// fabric (the checks of [`Simulation::try_run`]).
     pub fn online(
         fabric: &'a F,
         config: &'a SimConfig,
         plane: &'a mut dyn ControlPlane,
         faults: &FaultSchedule,
     ) -> Result<Self, SimError> {
-        faults.validate(fabric)?;
-        if let Some(cf) = &config.control_faults {
-            cf.validate(fabric.num_hosts())?;
-        }
+        check_setup(fabric, config, faults)?;
         let mut engine = Self::new(fabric, config, Vec::new(), plane, faults, None);
         engine.online = true;
         Ok(engine)
@@ -949,10 +955,7 @@ impl<'a, F: Fabric> Engine<'a, F> {
         faults: &FaultSchedule,
         sink: &'a mut dyn TelemetrySink,
     ) -> Result<Self, SimError> {
-        faults.validate(fabric)?;
-        if let Some(cf) = &config.control_faults {
-            cf.validate(fabric.num_hosts())?;
-        }
+        check_setup(fabric, config, faults)?;
         let mut engine = Self::new(fabric, config, Vec::new(), plane, faults, Some(sink));
         engine.online = true;
         Ok(engine)
@@ -988,21 +991,6 @@ impl<'a, F: Fabric> Engine<'a, F> {
         self.result.path_arena_interns = self.arena.interns();
         self.result.path_arena_hit_rate = self.arena.hit_rate();
         self.result.path_arena_storage_bytes = self.arena.storage_bytes();
-        if self.config.collect_link_stats {
-            // Dense counters → sparse report: links that never moved a
-            // byte are omitted (as the old hash-map accumulator omitted
-            // links never touched). The stable sort on an index-ordered
-            // input makes equal-byte ties deterministic, index-ascending.
-            let mut v: Vec<(usize, f64)> = self
-                .link_bytes
-                .iter()
-                .enumerate()
-                .filter(|&(_, &b)| b != 0.0)
-                .map(|(l, &b)| (l, b))
-                .collect();
-            v.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("byte counts are finite"));
-            self.result.link_bytes = v;
-        }
         self.result
     }
 
@@ -1135,31 +1123,12 @@ impl<'a, F: Fabric> Engine<'a, F> {
                 }
             }
             EventKind::Fault { index } => self.apply_fault(index)?,
-            EventKind::ControlUpdate { token } => {
-                // The scheduled table becomes the hosts' current
-                // view; the uniform decision point below applies it.
-                let _ = self.plane.deliver(token);
-                if self.probe.on() {
-                    if let Some(issued) = self.probe.control_issued.remove(&token) {
-                        self.probe.emit(&TraceRecord::ControlDelivered {
-                            t: self.now,
-                            token,
-                            staleness: self.now - issued,
-                        });
-                    }
-                }
-            }
             EventKind::ControlTimer { token } => {
-                // A protocol step (delivery/ack/retry) under an
-                // armed fault profile; any applied table reaches
-                // the flows at the decision point below.
-                let fx = self.plane.on_timer(token, self.now);
-                self.push_control_timers(&fx.timers);
-                if self.probe.on() {
-                    for rec in &fx.trace {
-                        self.probe.emit(rec);
-                    }
-                }
+                // A delivery, ack or retry step; a table that lands
+                // becomes the hosts' current view, which the decision
+                // point below applies to the flows.
+                let out = self.plane.on_timer(token, self.now);
+                self.apply_control(out);
             }
             EventKind::ControlFault { index } => {
                 let event = self.control_timeline[index].1;
@@ -1402,20 +1371,11 @@ impl<'a, F: Fabric> Engine<'a, F> {
     }
 
     /// Advances every flow's remaining volume to virtual time `t` at its
-    /// current rate. The `collect_link_stats` branch is hoisted out of
-    /// the per-flow loop into two loop variants, so the (default)
-    /// stats-off path runs the dense [`Engine::advance_span`] kernel
-    /// with zero per-flow branching on the config; both variants fan
-    /// across the worker pool in fixed index-ordered chunks once the
-    /// flow table is large enough to pay for a pool wakeup.
+    /// current rate (see [`Engine::advance_flows`]).
     fn advance_to(&mut self, t: f64) {
         let dt = t - self.now;
         if dt > 0.0 && !self.flows.is_empty() {
-            if self.config.collect_link_stats {
-                self.advance_flows_stats(dt);
-            } else {
-                self.advance_flows(dt);
-            }
+            self.advance_flows(dt);
         }
         self.now = t.max(self.now);
     }
@@ -1438,16 +1398,7 @@ impl<'a, F: Fabric> Engine<'a, F> {
         }
     }
 
-    /// Fixed chunk width for the fanned advance sweep: one index-ordered
-    /// chunk per worker, floored so a chunk always carries enough flows
-    /// to outweigh a task claim. Purely a wall-clock heuristic — each
-    /// flow's update is independent of every other's, so chunk
-    /// boundaries (and hence the thread count) cannot change results.
-    fn advance_chunk(n: usize, threads: usize) -> usize {
-        n.div_ceil(threads).max(MIN_ADVANCE_CHUNK)
-    }
-
-    /// Stats-off advance: the branch-free SoA sweep, fanned across the
+    /// The advance sweep: the branch-free SoA kernel, fanned across the
     /// pool in fixed index-ordered chunks when the flow table is large
     /// enough. Every chunk's updates are elementwise-independent, so
     /// the fan-out is bit-for-bit identical to the serial sweep at any
@@ -1456,7 +1407,9 @@ impl<'a, F: Fabric> Engine<'a, F> {
         let n = self.flows.len();
         if n >= PAR_MIN_ADVANCE_FLOWS {
             if let Some(pool) = self.pool.as_ref() {
-                let chunk = Self::advance_chunk(n, self.threads);
+                // One index-ordered chunk per worker, floored so a chunk
+                // always outweighs a task claim.
+                let chunk = n.div_ceil(self.threads).max(MIN_ADVANCE_CHUNK);
                 let rate = &self.hot.rate;
                 // Disjoint per-chunk `remaining` spans; task `c` locks
                 // chunk `c` exactly once, so the mutexes are uncontended
@@ -1478,70 +1431,6 @@ impl<'a, F: Fabric> Engine<'a, F> {
             }
         }
         Self::advance_span(&self.hot.rate, &mut self.hot.remaining, dt);
-    }
-
-    /// Stats-on advance: the same sweep plus per-link byte accounting
-    /// into the dense `link_bytes` array. The fanned variant records
-    /// each chunk's `(link, bytes)` contributions in flow order into a
-    /// per-chunk sparse accumulator and merges them chunk-by-chunk —
-    /// chunks are index-ordered, so every link sees its additions in
-    /// exactly the serial loop's flow order and the f64 sums are
-    /// bit-for-bit identical at any thread count.
-    fn advance_flows_stats(&mut self, dt: f64) {
-        let n = self.flows.len();
-        let fanned = n >= PAR_MIN_ADVANCE_FLOWS && self.pool.is_some();
-        if fanned {
-            let chunk = Self::advance_chunk(n, self.threads);
-            let nchunks = n.div_ceil(chunk);
-            let outs: Vec<Mutex<Vec<(u32, f64)>>> = (0..nchunks)
-                .map(|_| Mutex::new(self.advance_stat_bufs.pop().unwrap_or_default()))
-                .collect();
-            let rate = &self.hot.rate;
-            let path = &self.hot.path;
-            let arena = &self.arena;
-            let chunks: Vec<Mutex<&mut [f64]>> = self
-                .hot
-                .remaining
-                .chunks_mut(chunk)
-                .map(Mutex::new)
-                .collect();
-            let pool = self.pool.as_ref().expect("fanned implies pool");
-            let task = |_slot: usize, c: usize| {
-                let mut rem = chunks[c].lock().expect("chunk lock poisoned");
-                let mut out = outs[c].lock().expect("stat buf lock poisoned");
-                let s = c * chunk;
-                for (i, rem) in rem.iter_mut().enumerate() {
-                    let r = rate[s + i];
-                    if r > 0.0 && r.is_finite() {
-                        let moved = (r * dt).min(*rem);
-                        *rem -= moved;
-                        for l in arena.get(path[s + i]) {
-                            out.push((l.index() as u32, moved));
-                        }
-                    }
-                }
-            };
-            pool.run(nchunks, &task);
-            for m in outs {
-                let mut buf = m.into_inner().expect("stat buf lock poisoned");
-                for &(l, b) in &buf {
-                    self.link_bytes[l as usize] += b;
-                }
-                buf.clear();
-                self.advance_stat_bufs.push(buf);
-            }
-        } else {
-            for pos in 0..n {
-                let r = self.hot.rate[pos];
-                if r > 0.0 && r.is_finite() {
-                    let moved = (r * dt).min(self.hot.remaining[pos]);
-                    self.hot.remaining[pos] -= moved;
-                    for l in self.arena.get(self.hot.path[pos]) {
-                        self.link_bytes[l.index()] += moved;
-                    }
-                }
-            }
-        }
     }
 
     fn activate_job(&mut self, id: JobId) -> Result<(), SimError> {
@@ -2234,33 +2123,20 @@ impl<'a, F: Fabric> Engine<'a, F> {
                 oracle: &oracle,
             })
         };
-        self.apply_table(&output.assignments);
-        self.apply_host_tables(&output.host_assignments);
-        self.push_control_timers(&output.timers);
-        if self.probe.on() {
-            for rec in &output.trace {
-                self.probe.emit(rec);
-            }
-        }
-        if let Some(token) = output.schedule_update {
-            self.queue.push(Event {
-                time: self.now + self.config.control_latency,
-                seq: self.seq,
-                kind: EventKind::ControlUpdate { token },
-            });
-            self.seq += 1;
-            if self.probe.on() {
-                // Stamp the decision time so delivery can report the
-                // measured staleness rather than the configured latency.
-                self.probe.control_issued.insert(token, self.now);
-            }
-        }
+        self.apply_control(output);
     }
 
-    /// Schedules `ControlTimer` events for the protocol steps a
-    /// fault-armed plane requested: `(delay_from_now, token)` pairs.
-    fn push_control_timers(&mut self, timers: &[(f64, u64)]) {
-        for &(delay, token) in timers {
+    /// Carries out what the control plane returned, from a decision
+    /// point or a timer: applies the cluster-wide table, then each
+    /// per-host table, schedules the requested timers as `ControlTimer`
+    /// events `(delay_from_now, token)`, and forwards the trace records
+    /// to an armed sink.
+    fn apply_control(&mut self, out: ControlOutput) {
+        self.apply_table(&out.assignments, None);
+        for (host, table) in &out.host_assignments {
+            self.apply_table(table, Some(*host));
+        }
+        for &(delay, token) in &out.timers {
             self.queue.push(Event {
                 time: self.now + delay,
                 seq: self.seq,
@@ -2268,13 +2144,25 @@ impl<'a, F: Fabric> Engine<'a, F> {
             });
             self.seq += 1;
         }
+        if self.probe.on() {
+            for rec in &out.trace {
+                self.probe.emit(rec);
+            }
+        }
     }
 
-    /// Applies a priority table to the flows it covers. Entries for
-    /// coflows that completed while the table was in flight are skipped
-    /// (a delayed table may be stale); active coflows absent from the
-    /// table keep their current queues.
-    fn apply_table(&mut self, table: &[(CoflowId, usize)]) {
+    /// Applies a priority table to the open flows of the coflows it
+    /// lists — with `host` set, only to the flows *sourced at* that
+    /// host. Live flows take demotions at once and promotions never
+    /// (unless the plane re-prioritizes live flows); fresh flows take
+    /// the table's queue. Entries for coflows that completed while the
+    /// table was in flight are skipped (a delayed table may be stale);
+    /// active coflows absent from the table keep their current queues.
+    ///
+    /// Only the cluster-wide table (`host == None`) sets the coflow's
+    /// queue label and emits `PriorityMove`: per-host tables come from
+    /// fault-armed planes, under which hosts may legitimately disagree.
+    fn apply_table(&mut self, table: &[(CoflowId, usize)], host: Option<HostId>) {
         let nq = self.plane.num_queues();
         let relax = self.plane.reprioritizes_live_flows();
         for &(cid, queue) in table {
@@ -2285,78 +2173,33 @@ impl<'a, F: Fabric> Engine<'a, F> {
             let Some(cf) = self.coflows.get_mut(&cid) else {
                 continue; // completed before the table was delivered
             };
-            let old_queue = cf.queue;
-            cf.queue = queue;
-            if old_queue != queue && self.probe.on() {
-                self.probe.emit(&TraceRecord::PriorityMove {
-                    t: self.now,
-                    coflow: cid.index(),
-                    from: old_queue,
-                    to: queue,
-                });
-            }
-            for rec in cf.flows.iter().filter(|r| r.open) {
+            let on_host = |r: &&FlowRecord| r.open && host.is_none_or(|h| h == r.src);
+            for rec in cf.flows.iter().filter(on_host) {
                 let pos = self.flow_pos.get(rec.id).expect("open flow indexed");
                 let f = &mut self.flows[pos];
                 let new_queue = if f.fresh || relax {
                     queue
                 } else {
-                    // Demotions (larger queue index) apply to live flows;
-                    // promotions only affect flows started later.
                     f.queue.max(queue)
                 };
-                let changed = new_queue != f.queue;
-                if changed {
-                    f.queue = new_queue;
-                }
                 f.fresh = false;
-                if changed {
+                if new_queue != f.queue {
+                    f.queue = new_queue;
                     // A queue change only affects the allocation through
                     // the flow's own links, so they suffice as seeds.
                     self.dirty.mark_path(self.arena.get(self.hot.path[pos]));
                 }
             }
-        }
-    }
-
-    /// Applies per-sender-host priority tables (fault-armed
-    /// decentralized planes): for each `(host, table)` pair, only the
-    /// flows *sourced at* that host take the table's queues, under the
-    /// same demotion rule as [`Engine::apply_table`]. Coflow-level
-    /// queue labels (and `PriorityMove` records) are reserved for the
-    /// uniform path — under faults, hosts may legitimately disagree.
-    fn apply_host_tables(&mut self, tables: &[(HostId, Vec<(CoflowId, usize)>)]) {
-        if tables.is_empty() {
-            return;
-        }
-        let nq = self.plane.num_queues();
-        let relax = self.plane.reprioritizes_live_flows();
-        for (host, table) in tables {
-            for &(cid, queue) in table {
-                assert!(
-                    queue < nq,
-                    "assigned queue {queue} out of range ({nq} queues)"
-                );
-                let Some(cf) = self.coflows.get_mut(&cid) else {
-                    continue; // completed before the table landed
-                };
-                for rec in cf.flows.iter().filter(|r| r.open && r.src == *host) {
-                    let pos = self.flow_pos.get(rec.id).expect("open flow indexed");
-                    let f = &mut self.flows[pos];
-                    let new_queue = if f.fresh || relax {
-                        queue
-                    } else {
-                        f.queue.max(queue)
-                    };
-                    let changed = new_queue != f.queue;
-                    if changed {
-                        f.queue = new_queue;
-                    }
-                    f.fresh = false;
-                    if changed {
-                        self.dirty.mark_path(self.arena.get(self.hot.path[pos]));
-                    }
+            if host.is_none() && cf.queue != queue {
+                if self.probe.on() {
+                    self.probe.emit(&TraceRecord::PriorityMove {
+                        t: self.now,
+                        coflow: cid.index(),
+                        from: cf.queue,
+                        to: queue,
+                    });
                 }
+                cf.queue = queue;
             }
         }
     }
@@ -3134,14 +2977,12 @@ mod tests {
     }
 
     #[test]
-    fn fanned_advance_matches_serial_with_link_stats() {
+    fn fanned_advance_matches_serial() {
         // More open flows than `PAR_MIN_ADVANCE_FLOWS` so the chunked
-        // advance sweep engages, with link stats on so the
-        // chunk-ordered per-link byte merge sits on the hot path; as
-        // completions drain the table below the threshold the serial
-        // sweep takes over, so one run crosses both variants. The
-        // fanned run must reproduce the serial `RunResult` — including
-        // `link_bytes` — byte for byte.
+        // advance sweep engages; as completions drain the table below
+        // the threshold the serial sweep takes over, so one run crosses
+        // both. The fanned run must reproduce the serial `RunResult`
+        // byte for byte.
         let hosts = 64;
         let n = PAR_MIN_ADVANCE_FLOWS + 200;
         let flows: Vec<FlowSpec> = (0..n)
@@ -3167,7 +3008,6 @@ mod tests {
                 BigSwitch::new(hosts, 1.0 * MB),
                 SimConfig {
                     threads,
-                    collect_link_stats: true,
                     ..SimConfig::default()
                 },
             );
@@ -3175,7 +3015,7 @@ mod tests {
         };
         let serial = run(1);
         let fanned = run(4);
-        assert!(!serial.link_bytes.is_empty(), "link stats were collected");
+        assert_eq!(serial.coflows.len(), 1);
         assert!(
             serial == fanned,
             "fanned advance diverged from the serial sweep"
@@ -3333,33 +3173,6 @@ mod tests {
     }
 
     #[test]
-    fn link_stats_account_carried_bytes() {
-        let mut sim = Simulation::new(
-            BigSwitch::new(8, 1.0 * MB),
-            SimConfig {
-                collect_link_stats: true,
-                ..SimConfig::default()
-            },
-        );
-        let res = sim.run(
-            vec![single_flow_job(0, 0.0, 0, 1, 3.0 * MB)],
-            &mut FifoScheduler::new(1),
-        );
-        // Uplink of host 0 and downlink of host 1 each carried ~3 MB.
-        assert_eq!(res.link_bytes.len(), 2);
-        for &(_, bytes) in &res.link_bytes {
-            assert!((bytes - 3.0 * MB).abs() < 1.0, "carried {bytes}");
-        }
-        // Disabled by default.
-        let mut sim = Simulation::new(BigSwitch::new(8, 1.0 * MB), SimConfig::default());
-        let res = sim.run(
-            vec![single_flow_job(0, 0.0, 0, 1, MB)],
-            &mut FifoScheduler::new(1),
-        );
-        assert!(res.link_bytes.is_empty());
-    }
-
-    #[test]
     fn mid_run_degrade_and_restore_stretch_completion() {
         use crate::faults::{FaultEvent, FaultSchedule};
         // 10 MB at 1 MB/s; halve the path for t in [2, 6): 2 MB by t=2,
@@ -3448,6 +3261,95 @@ mod tests {
         let err =
             try_run_fifo(&mut sim, vec![single_flow_job(0, 0.0, 0, 1, MB)], &faults).unwrap_err();
         assert!(matches!(err, SimError::InvalidFault { .. }), "{err}");
+    }
+
+    #[test]
+    fn unusable_tick_or_latency_is_rejected_up_front() {
+        let (fabric, _) = online_fixture();
+        let nan = f64::NAN;
+        let inf = f64::INFINITY;
+        for (tick_interval, control_latency) in [
+            (0.0, 0.0),
+            (-1.0, 0.0),
+            (nan, 0.0),
+            (inf, 0.0),
+            (1.0, nan),
+            (1.0, -1.0),
+            (1.0, inf),
+        ] {
+            let config = SimConfig {
+                tick_interval,
+                control_latency,
+                ..SimConfig::default()
+            };
+            let mut sim = Simulation::new(fabric.clone(), config.clone());
+            let offline = try_run_fifo(
+                &mut sim,
+                vec![single_flow_job(0, 0.0, 0, 1, MB)],
+                &FaultSchedule::new(),
+            );
+            let mut sched = FifoScheduler::new(1);
+            let mut plane = Centralized::new(&mut sched);
+            let online = Engine::online(&fabric, &config, &mut plane, &FaultSchedule::new());
+            for err in [offline.unwrap_err(), online.err().expect("online rejects")] {
+                assert!(
+                    matches!(err, SimError::InvalidConfig { .. }),
+                    "{config:?}: {err}"
+                );
+            }
+        }
+    }
+
+    /// Puts every active coflow in queue 1 on `host`'s flows only, as a
+    /// fault-armed plane's per-host table does.
+    struct HostTablePlane(HostId);
+
+    impl ControlPlane for HostTablePlane {
+        fn name(&self) -> String {
+            "host-table".into()
+        }
+        fn num_queues(&self) -> usize {
+            2
+        }
+        fn decide(&mut self, input: ControlInput<'_>) -> ControlOutput {
+            let ControlInput::Global { obs, .. } = input else {
+                unreachable!("global views requested")
+            };
+            let table = obs.coflows.iter().map(|c| (c.id, 1)).collect();
+            ControlOutput {
+                host_assignments: vec![(self.0, table)],
+                ..ControlOutput::default()
+            }
+        }
+    }
+
+    #[test]
+    fn host_tables_move_only_that_hosts_flows() {
+        // Two 1 MB flows into host 2 under strict priority: host 1's
+        // flow keeps queue 0 and the whole downlink (done at t=1), host
+        // 0's demoted flow waits (done at t=2).
+        let config = SimConfig {
+            telemetry: Some(TelemetryConfig::default()),
+            ..SimConfig::default()
+        };
+        let mut sim = Simulation::new(BigSwitch::new(8, 1.0 * MB), config);
+        let mut sink = crate::telemetry::MemorySink::default();
+        let jobs = vec![
+            single_flow_job(0, 0.0, 0, 2, MB),
+            single_flow_job(1, 0.0, 1, 2, MB),
+        ];
+        let mut plane = HostTablePlane(HostId(0));
+        let res = sim
+            .try_run(jobs, &mut plane, &FaultSchedule::new(), Some(&mut sink))
+            .unwrap();
+        let jct = |id: usize| res.jobs.iter().find(|j| j.id == JobId(id)).unwrap().jct;
+        assert!((jct(1) - 1.0).abs() < 1e-6 && (jct(0) - 2.0).abs() < 1e-6);
+        // Hosts may disagree under per-host tables: no coflow label moves.
+        let moves = sink
+            .records
+            .iter()
+            .filter(|r| matches!(r, TraceRecord::PriorityMove { .. }));
+        assert_eq!(moves.count(), 0);
     }
 
     #[test]

@@ -135,12 +135,6 @@ pub struct RunResult {
     pub makespan: f64,
     /// Number of events processed (diagnostics).
     pub events: u64,
-    /// Bytes carried per link over the whole run, sorted descending —
-    /// populated only when `SimConfig::collect_link_stats` is set
-    /// (identifies hot links; divide by capacity × makespan for mean
-    /// utilization).
-    #[serde(default)]
-    pub link_bytes: Vec<(usize, f64)>,
     /// Timeline of faults applied during the run, with per-fault
     /// reroute/park/resume counts. Empty for healthy runs.
     #[serde(default)]
@@ -389,9 +383,13 @@ mod tests {
         };
         let back: RunResult = serde_json::from_str(&serde_json::to_string(&r).unwrap()).unwrap();
         assert_eq!(back, r);
-        // Pre-fault-model JSON (no fault fields) still deserializes.
-        let legacy = r#"{"scheduler":"y","jobs":[],"coflows":[],"makespan":0,"events":0}"#;
+        // Pre-fault-model JSON (no fault fields) still deserializes, as
+        // does the per-link byte report older results carry: unknown
+        // keys are ignored.
+        let legacy = r#"{"scheduler":"y","jobs":[],"coflows":[],"makespan":0,"events":0,
+            "link_bytes":[[3,1000000.0]]}"#;
         let old: RunResult = serde_json::from_str(legacy).unwrap();
+        assert_eq!(old.scheduler, "y");
         assert!(old.faults.is_empty());
         assert_eq!(old.flows_parked, 0);
     }

@@ -183,7 +183,7 @@ pub enum TraceRecord {
     ControlDelivered {
         /// Simulation time of delivery.
         t: f64,
-        /// The control plane's update token.
+        /// The control plane's timer token for the delivery.
         token: u64,
         /// Measured decision age: delivery time minus the time the table
         /// was computed. Equals the configured `control_latency` unless
@@ -400,8 +400,7 @@ pub trait TelemetrySink: std::fmt::Debug {
 }
 
 /// Crate-private probe state owned by the engine: the sink (if armed),
-/// the sampling cadence, cumulative allocator counters, and the
-/// issue-time map backing ControlUpdate staleness measurement. All
+/// the sampling cadence, and cumulative allocator counters. All
 /// fields are touched only when `on()` — the disabled path carries the
 /// struct but never writes it.
 #[derive(Debug)]
@@ -409,8 +408,6 @@ pub(crate) struct Probe<'a> {
     pub(crate) sink: Option<&'a mut dyn TelemetrySink>,
     pub(crate) sample_interval: f64,
     pub(crate) next_sample: f64,
-    /// ControlUpdate token → simulation time the table was computed.
-    pub(crate) control_issued: HashMap<u64, f64>,
     pub(crate) full_passes: u64,
     pub(crate) incremental_passes: u64,
     pub(crate) component_flows: u64,
@@ -426,7 +423,6 @@ impl<'a> Probe<'a> {
             sink,
             sample_interval,
             next_sample: 0.0,
-            control_issued: HashMap::new(),
             full_passes: 0,
             incremental_passes: 0,
             component_flows: 0,
@@ -653,7 +649,7 @@ impl TelemetrySink for JsonlSink {
 /// * coflows → complete (`"X"`) slices on pid 1, one track per coflow;
 /// * flows → complete slices on pid 2, one track per flow;
 /// * starvation intervals → complete slices on pid 3, per coflow;
-/// * ControlUpdate deliveries → instant (`"i"`) events on pid 1;
+/// * delayed control-table deliveries → instant (`"i"`) events on pid 1;
 /// * control faults (pid 4): drops/retransmits/partition edges as
 ///   instants, degraded windows and agent crash→restart windows as
 ///   complete slices, one track per host;

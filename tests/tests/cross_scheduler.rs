@@ -215,7 +215,7 @@ fn local_schemes_never_touch_the_oracle() {
 fn stale_control_still_completes_and_costs_something() {
     // With a 10 ms propagation delay hosts tag flows from stale
     // priority tables: every job must still finish, the event stream
-    // gains the ControlUpdate deliveries, and the schedule can only be
+    // gains the delivery timers, and the schedule can only be
     // distorted — avg JCT should not collapse below a sanity floor of
     // the fresh-view run.
     let fresh = scenario(StructureKind::FbTao, 25, 3);
@@ -226,7 +226,7 @@ fn stale_control_still_completes_and_costs_something() {
     assert_eq!(s.jobs.len(), f.jobs.len(), "staleness must not lose jobs");
     assert!(
         s.events > f.events,
-        "delayed tables must flow through ControlUpdate events: {} vs {}",
+        "delayed tables must flow through control timer events: {} vs {}",
         s.events,
         f.events
     );

@@ -327,6 +327,34 @@ fn shutdown_stops_immediately() {
     assert!(!socket.exists(), "socket file cleaned up");
 }
 
+#[test]
+fn zero_tick_is_refused_before_the_socket_binds() {
+    // A zero tick would schedule every tick at `now`, ahead of every
+    // completion, so virtual time would never advance: `serve` must
+    // fail at startup instead of spinning.
+    let socket = std::env::temp_dir().join(format!(
+        "guritad-test-zero-tick-{}.sock",
+        std::process::id()
+    ));
+    let config = DaemonConfig {
+        socket: socket.clone(),
+        tick_interval: 0.0,
+        ..DaemonConfig::default()
+    };
+    // On a thread, so a daemon that wrongly comes up fails the test on
+    // the timeout instead of hanging it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(serve(&config));
+    });
+    let err = rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("serve must return at startup")
+        .expect_err("a zero tick must be refused");
+    assert!(err.to_string().contains("tick_interval"), "{err}");
+    assert!(!socket.exists(), "no socket file left behind");
+}
+
 /// The scale acceptance run: ≥1,000 generated jobs with dependency
 /// edges over the socket, mid-run queries, and a drain that accounts
 /// for every job. Ignored by default (several seconds); CI runs the

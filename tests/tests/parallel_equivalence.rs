@@ -94,7 +94,6 @@ fn run_once_cfg(
             threads,
             telemetry: telemetry.then(TelemetryConfig::default),
             force_full_recompute: force_full,
-            collect_link_stats: force_full, // exercise byte accounting too
             ..SimConfig::default()
         },
     );
@@ -189,12 +188,10 @@ proptest! {
     }
 
     /// Same contract with `force_full_recompute` on: every event now
-    /// triggers a *full* pass, which since PR 9 flows through the same
-    /// per-component collection and fan-out as incremental epochs (the
-    /// pool fans components or streams the discovery BFS against the
-    /// waterfill). `collect_link_stats` rides along so the fanned
-    /// advance's chunk-ordered byte merge is pinned on the same runs.
-    /// Crosses SPQ-based Gurita, the WRR ablation, and decentralized
+    /// triggers a *full* pass, which flows through the same
+    /// per-component collection and fan-out as incremental epochs
+    /// (component discovery runs on the calling thread, then the pool
+    /// waterfills the components). Crosses SPQ-based Gurita, the WRR ablation, and decentralized
     /// Gurita@local with mid-run faults — threads {2, 4, 8} must stay
     /// bit-for-bit equal to serial.
     #[test]

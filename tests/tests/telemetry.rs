@@ -86,7 +86,7 @@ proptest! {
         let faults = chaos_schedule();
         let latency = [0.0, 0.002, 0.008][latency_step];
         // WRR, SPQ, and the decentralized plane (the only one that
-        // defers tables through ControlUpdate events, where latency
+        // defers tables through delivery timers, where latency
         // actually bites).
         for kind in [
             SchedulerKind::Gurita,
@@ -179,7 +179,7 @@ fn trace_is_well_formed_and_staleness_matches_latency() {
     let jobs = workload(8, 7);
     let mut sink = MemorySink::new();
     // The decentralized plane: the one that defers tables through
-    // ControlUpdate events, so deliveries (and staleness) are observable.
+    // delivery timers, so deliveries (and staleness) are observable.
     let result = run_once(
         SchedulerKind::GuritaLocal,
         &jobs,
