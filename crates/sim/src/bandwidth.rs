@@ -168,20 +168,21 @@ impl Ord for Candidate {
 #[derive(Debug)]
 pub struct Allocator {
     num_links: usize,
-    /// Monotone counter backing both the per-call and per-pass epochs.
-    epoch: u64,
-    call_epoch: u64,
+    /// Counter backing both the per-call and per-pass epochs; restarts
+    /// at 1, with every stamp array zeroed, before it would wrap.
+    epoch: u32,
+    call_epoch: u32,
     /// Global link id → dense per-call index, valid iff the stamp equals
     /// the current call epoch.
     remap: Vec<u32>,
-    remap_epoch: Vec<u64>,
+    remap_epoch: Vec<u32>,
     /// Dense residual capacities, one per touched link; initialized from
     /// `capacity` when a link is first remapped and persisting across the
     /// priority passes of one call.
     resid: Vec<f64>,
     /// Dense per-pass weight sums (stamped with the pass epoch).
     sum_w: Vec<f64>,
-    sumw_epoch: Vec<u64>,
+    sumw_epoch: Vec<u32>,
     /// Cached per-link fair shares `resid / sum_w`, refreshed when a
     /// freeze changes a link; valid for links stamped in the current
     /// pass.
@@ -203,7 +204,7 @@ pub struct Allocator {
     heap: BinaryHeap<Candidate>,
     /// A demand is frozen in the current pass iff its stamp equals the
     /// pass epoch.
-    frozen_epoch: Vec<u64>,
+    frozen_epoch: Vec<u32>,
 }
 
 impl Allocator {
@@ -250,7 +251,7 @@ impl Allocator {
     /// from the pass-epoch counter the allocator keeps anyway, so
     /// reading it costs nothing. 0 before the first call.
     pub fn last_waterfill_passes(&self) -> u64 {
-        self.epoch - self.call_epoch
+        u64::from(self.epoch - self.call_epoch)
     }
 
     /// Computes per-demand rates into `rates` (one slot per demand, in
@@ -284,6 +285,13 @@ impl Allocator {
         assert_eq!(rates.len(), n, "one rate slot per demand required");
         let nq = discipline.num_queues();
         rates.fill(f64::INFINITY);
+        // A call takes one epoch plus at most one per queue.
+        if u64::from(self.epoch) + nq as u64 + 1 > u64::from(u32::MAX) {
+            self.remap_epoch.fill(0);
+            self.sumw_epoch.fill(0);
+            self.frozen_epoch.fill(0);
+            self.epoch = 0;
+        }
         self.epoch += 1;
         self.call_epoch = self.epoch;
         if self.frozen_epoch.len() < n {
@@ -452,6 +460,14 @@ impl Allocator {
     }
 }
 
+#[cfg(test)]
+impl Allocator {
+    /// The epoch counter, so a test can run across its wrap.
+    pub(crate) fn epoch_mut(&mut self) -> &mut u32 {
+        &mut self.epoch
+    }
+}
+
 /// Computes per-flow rates for `demands` under `discipline`, where link
 /// `l` has capacity `capacity(l)` bytes per second.
 ///
@@ -505,14 +521,14 @@ fn waterfill(
     dense_paths: &[u32],
     idx: &[u32],
     weight: impl Fn(usize, usize) -> f64,
-    pass_epoch: u64,
+    pass_epoch: u32,
     resid: &mut [f64],
     sum_w: &mut [f64],
-    sumw_epoch: &mut [u64],
+    sumw_epoch: &mut [u32],
     share: &mut [f64],
     pass_links: &mut Vec<u32>,
     heap: &mut BinaryHeap<Candidate>,
-    frozen_epoch: &mut [u64],
+    frozen_epoch: &mut [u32],
     rates: &mut [f64],
 ) {
     let path = |f: usize| {
@@ -898,6 +914,57 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn epoch_wrap_leaves_rates_unchanged() {
+        // An allocator whose epoch counter starts a few steps below
+        // `u32::MAX` wraps within a few calls (an SPQ call takes one
+        // epoch per non-empty queue on top of its own). Every call on
+        // either side of the wrap must match a fresh allocator bitwise.
+        let mut state = 4242u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let mut near_wrap = Allocator::new(30);
+        near_wrap.epoch = u32::MAX - 7;
+        let mut wrapped = false;
+        for round in 0..12 {
+            let link_ids: Vec<Vec<LinkId>> = (0..(1 + next() % 20))
+                .map(|_| (0..(1 + next() % 4)).map(|_| LinkId(next() % 30)).collect())
+                .collect();
+            let demands: Vec<Demand<'_>> = link_ids
+                .iter()
+                .map(|p| Demand {
+                    path: p.as_slice(),
+                    queue: next() % 3,
+                })
+                .collect();
+            let disc = if round % 2 == 0 {
+                spq(3)
+            } else {
+                Discipline::WeightedRoundRobin {
+                    weights: vec![5.0, 2.0, 1.0],
+                }
+            };
+            let cap = move |l: LinkId| 1.0 + (l.index() % 7) as f64;
+            let mut fresh = vec![0.0; demands.len()];
+            Allocator::new(30).allocate_into(&demands[..], cap, &disc, &mut fresh);
+            let mut rates = vec![0.0; demands.len()];
+            near_wrap.allocate_into(&demands[..], cap, &disc, &mut rates);
+            for (i, (a, b)) in fresh.iter().zip(&rates).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "round {round} flow {i}: {a} vs {b}"
+                );
+            }
+            wrapped |= near_wrap.epoch < 100;
+        }
+        assert!(wrapped, "the epoch counter never wrapped");
     }
 
     #[test]

@@ -538,7 +538,7 @@ const MIN_ADVANCE_CHUNK: usize = 256;
 
 /// Union-find `find` with path halving; indices are flow-table
 /// positions, roots satisfy `parent[x] == x`. Used by the full-pass
-/// component grouping (see [`Engine::collect_full_components`]).
+/// component grouping (see [`Engine::compute_full_partition`]).
 #[inline]
 fn uf_find(parent: &mut [u32], mut x: u32) -> u32 {
     while parent[x as usize] != x {
@@ -568,6 +568,13 @@ impl FlowPosMap {
         }
     }
 
+    /// Position of a flow known to be in the table.
+    fn pos(&self, fid: FlowId) -> usize {
+        let p = self.slots[fid.index()];
+        debug_assert_ne!(p, Self::NONE, "flow {} is not in the table", fid.index());
+        p as usize
+    }
+
     fn insert(&mut self, fid: FlowId, pos: usize) {
         let i = fid.index();
         if i >= self.slots.len() {
@@ -585,6 +592,92 @@ impl FlowPosMap {
             }
             _ => None,
         }
+    }
+}
+
+/// Exact link → flows index: for every link, the live, unparked flows
+/// whose path crosses it, and nothing else. Each link's list is singly
+/// linked through one shared slab whose freed entries are recycled, so
+/// the index costs one `u32` per fabric link plus one 8-byte entry per
+/// live flow-hop, however many flows have come and gone.
+///
+/// The engine links a flow in when it starts moving bytes on a path
+/// (activation, resume, the new path of a reroute) and unlinks it when
+/// it stops (completion, cancel, park, the old path of a reroute), so
+/// readers never meet a dead entry and need no validation.
+#[derive(Debug)]
+struct LinkFlows {
+    /// Per link: slab slot + 1 of its list head; 0 = empty list.
+    head: Vec<u32>,
+    /// Entries: a flow id and the slot + 1 of the next entry of the
+    /// same list (0 = end). Freed entries chain through the second
+    /// field from `free`.
+    slab: Vec<(u32, u32)>,
+    /// Slot + 1 of the first free entry; 0 = none.
+    free: u32,
+}
+
+impl LinkFlows {
+    fn new(num_links: usize) -> Self {
+        Self {
+            head: vec![0; num_links],
+            slab: Vec::new(),
+            free: 0,
+        }
+    }
+
+    /// Lists `fid` under every link of `path`.
+    fn link(&mut self, fid: FlowId, path: &[LinkId]) {
+        let fid = u32::try_from(fid.index()).expect("flow ids fit u32");
+        for l in path {
+            let li = l.index();
+            let next = self.head[li];
+            let slot = if self.free == 0 {
+                self.slab.push((fid, next));
+                u32::try_from(self.slab.len()).expect("slab slots fit u32")
+            } else {
+                let slot = self.free;
+                let entry = &mut self.slab[slot as usize - 1];
+                self.free = entry.1;
+                *entry = (fid, next);
+                slot
+            };
+            self.head[li] = slot;
+        }
+    }
+
+    /// Removes `fid` from the list of every link of `path`; each removal
+    /// scans only that link's live entries.
+    fn unlink(&mut self, fid: FlowId, path: &[LinkId]) {
+        for l in path {
+            let li = l.index();
+            let (mut prev, mut cur) = (0u32, self.head[li]);
+            loop {
+                assert!(cur != 0, "flow {} not listed on link {li}", fid.index());
+                let (listed, next) = self.slab[cur as usize - 1];
+                if listed as usize == fid.index() {
+                    if prev == 0 {
+                        self.head[li] = next;
+                    } else {
+                        self.slab[prev as usize - 1].1 = next;
+                    }
+                    self.slab[cur as usize - 1].1 = self.free;
+                    self.free = cur;
+                    break;
+                }
+                (prev, cur) = (cur, next);
+            }
+        }
+    }
+
+    /// The flows listed under link `li`, most recently linked first.
+    fn flows(&self, li: usize) -> impl Iterator<Item = FlowId> + '_ {
+        let mut cur = self.head[li];
+        std::iter::from_fn(move || {
+            let &(fid, next) = self.slab.get((cur as usize).checked_sub(1)?)?;
+            cur = next;
+            Some(FlowId(fid as usize))
+        })
     }
 }
 
@@ -717,18 +810,17 @@ pub struct Engine<'a, F: Fabric> {
     /// which re-rates only the components that mix queues or touch a
     /// dirty link (see [`Engine::retain_moved_components`]).
     last_discipline: Option<Discipline>,
-    /// link index → flows whose path crosses it. Entries are tombstoned
-    /// lazily: a listed flow may have completed, parked, or rerouted
-    /// away; readers validate against `flow_pos`/`path` and compact.
-    link_flows: Vec<Vec<FlowId>>,
-    /// Epoch stamps for BFS visited-sets (avoid O(L)/O(F) clears).
-    link_mark: Vec<u64>,
-    flow_mark: Vec<u64>,
-    mark_epoch: u64,
+    /// link index → the live, unparked flows whose path crosses it.
+    link_flows: LinkFlows,
+    /// Epoch stamps for BFS visited-sets (avoid O(L)/O(F) clears);
+    /// advanced by [`Engine::next_mark_epoch`], which handles the wrap.
+    link_mark: Vec<u32>,
+    flow_mark: Vec<u32>,
+    mark_epoch: u32,
     /// BFS worklist of link indices (scratch).
     bfs_stack: Vec<usize>,
     /// Full-pass union-find scratch: per-flow-position parent pointers
-    /// (see [`Engine::collect_full_components`]).
+    /// (see [`Engine::compute_full_partition`]).
     uf_parent: Vec<u32>,
     /// Full-pass scratch: link index → representative flow position of
     /// the flows seen crossing it this epoch (valid iff `link_mark`
@@ -741,23 +833,6 @@ pub struct Engine<'a, F: Fabric> {
     /// collected during the union sweep so the numbering and scatter
     /// sweeps skip parked entries without touching cold flow state.
     uf_live: Vec<u32>,
-    /// Topology generation: bumped whenever the component structure's
-    /// inputs change — a flow enters or leaves the table (positions
-    /// shift on `swap_remove`), parks or resumes, or reroutes to a new
-    /// path. Discipline changes and capacity overlays do NOT bump it:
-    /// they change rates, never which flows share links.
-    topo_gen: u64,
-    /// `topo_gen` the cached full partition below was computed at;
-    /// `u64::MAX` = no cached partition.
-    full_gen: u64,
-    /// Cached full-pass partition members (see
-    /// [`Engine::collect_full_components`]): flagship Gurita shifts WRR
-    /// weights with queue loads, so back-to-back weights-only passes
-    /// over an unchanged topology are the common case and reuse this
-    /// instead of re-running the union-find sweeps.
-    full_comp: Vec<usize>,
-    /// Cached full-pass partition bounds (pairs with `full_comp`).
-    full_bounds: Vec<usize>,
     /// Flow positions under recomputation, grouped by connected
     /// component: component `c` is `component[comp_bounds[c] ..
     /// comp_bounds[c + 1]]`, each group sorted ascending (scratch).
@@ -880,7 +955,7 @@ impl<'a, F: Fabric> Engine<'a, F> {
             control_timeline,
             allocator: Allocator::new(fabric.num_links()),
             last_discipline: None,
-            link_flows: vec![Vec::new(); fabric.num_links()],
+            link_flows: LinkFlows::new(fabric.num_links()),
             link_mark: vec![0; fabric.num_links()],
             flow_mark: Vec::new(),
             mark_epoch: 0,
@@ -889,10 +964,6 @@ impl<'a, F: Fabric> Engine<'a, F> {
             link_owner: vec![0; fabric.num_links()],
             uf_counts: Vec::new(),
             uf_live: Vec::new(),
-            topo_gen: 0,
-            full_gen: u64::MAX,
-            full_comp: Vec::new(),
-            full_bounds: Vec::new(),
             component: Vec::new(),
             comp_bounds: Vec::new(),
             rate_buf: Vec::new(),
@@ -1267,15 +1338,18 @@ impl<'a, F: Fabric> Engine<'a, F> {
                     let Some(pos) = self.flow_pos.remove(rec.id) else {
                         continue;
                     };
-                    self.flows.swap_remove(pos);
+                    let flow = self.flows.swap_remove(pos);
                     let (_, _, path, _) = self.hot.swap_remove(pos);
-                    self.topo_gen += 1;
                     if let Some(moved) = self.flows.get(pos) {
                         self.flow_pos.insert(moved.id, pos);
                     }
-                    // Freed capacity redistributes; stale finish-heap
-                    // and link-index entries tombstone via `flow_pos`.
-                    self.dirty.mark_path(self.arena.get(path));
+                    let path = self.arena.get(path);
+                    if !flow.parked {
+                        self.link_flows.unlink(rec.id, path);
+                    }
+                    // Freed capacity redistributes; the flow's stale
+                    // finish-heap entries tombstone via `flow_pos`.
+                    self.dirty.mark_path(path);
                 }
             }
             self.jobs_state.remove(&id);
@@ -1539,21 +1613,10 @@ impl<'a, F: Fabric> Engine<'a, F> {
             self.flow_pos.insert(fid, pos);
             self.flows.push(flow);
             self.hot.push(0.0, fs.bytes, path, id);
-            self.topo_gen += 1;
             if !parked {
-                // One pass over the interned slice both seeds the dirty
-                // set and indexes the flow under its links.
-                let arena = &self.arena;
-                let dirty = &mut self.dirty;
-                let link_flows = &mut self.link_flows;
-                dirty.any = true;
-                for l in arena.get(path) {
-                    let li = l.index();
-                    if !dirty.full {
-                        dirty.links.push(li);
-                    }
-                    link_flows[li].push(fid);
-                }
+                let path = self.arena.get(path);
+                self.dirty.mark_path(path);
+                self.link_flows.link(fid, path);
             }
             if self.probe.on() {
                 self.probe.emit(&TraceRecord::FlowStart {
@@ -1653,12 +1716,14 @@ impl<'a, F: Fabric> Engine<'a, F> {
             }
         }
         for (pos, path) in reroutes {
-            let old = self.hot.path[pos];
-            self.dirty.mark_path(self.arena.get(old));
+            let fid = self.flows[pos].id;
+            let old = self.arena.get(self.hot.path[pos]);
+            self.dirty.mark_path(old);
+            self.link_flows.unlink(fid, old);
             self.hot.path[pos] = path;
-            self.topo_gen += 1;
-            self.dirty.mark_path(self.arena.get(path));
-            self.index_flow(pos, true);
+            let path = self.arena.get(path);
+            self.dirty.mark_path(path);
+            self.link_flows.link(fid, path);
             rec.rerouted += 1;
             let job = self.coflows[&self.hot.coflow[pos]].job;
             self.jobs_state
@@ -1669,16 +1734,16 @@ impl<'a, F: Fabric> Engine<'a, F> {
         for pos in parks {
             self.rate_stamp += 1;
             let stamp = self.rate_stamp;
-            let path = self.hot.path[pos];
-            self.dirty.mark_path(self.arena.get(path));
+            let path = self.arena.get(self.hot.path[pos]);
+            self.dirty.mark_path(path);
             let was_flowing = self.hot.rate[pos] > FLOWING_EPS;
             self.hot.rate[pos] = 0.0;
             let coflow = self.hot.coflow[pos];
             let f = &mut self.flows[pos];
             f.parked = true;
-            self.topo_gen += 1;
             f.stamp = stamp; // invalidate any completion-index entry
             let fid = f.id;
+            self.link_flows.unlink(fid, path);
             rec.parked += 1;
             let job = self.coflows[&coflow].job;
             self.jobs_state
@@ -1732,7 +1797,6 @@ impl<'a, F: Fabric> Engine<'a, F> {
         for (pos, new_path) in resumes {
             {
                 self.flows[pos].parked = false;
-                self.topo_gen += 1;
                 rec.resumed += 1;
                 if let Some(path) = new_path {
                     self.hot.path[pos] = path;
@@ -1755,9 +1819,9 @@ impl<'a, F: Fabric> Engine<'a, F> {
             }
             // The resumed flow (possibly on a new path) joins the
             // allocation again; its links seed the recomputation.
-            let path = self.hot.path[pos];
-            self.dirty.mark_path(self.arena.get(path));
-            self.index_flow(pos, true);
+            let path = self.arena.get(self.hot.path[pos]);
+            self.dirty.mark_path(path);
+            self.link_flows.link(self.flows[pos].id, path);
         }
         Ok(())
     }
@@ -1816,12 +1880,15 @@ impl<'a, F: Fabric> Engine<'a, F> {
                 let pos = self.flow_pos.remove(fid).expect("flow indexed");
                 let flow = self.flows.swap_remove(pos);
                 let (rate, _, path, coflow) = self.hot.swap_remove(pos);
-                self.topo_gen += 1;
                 if let Some(moved) = self.flows.get(pos) {
                     self.flow_pos.insert(moved.id, pos);
                 }
                 // Freed capacity redistributes across the flow's links.
-                self.dirty.mark_path(self.arena.get(path));
+                let path = self.arena.get(path);
+                if !flow.parked {
+                    self.link_flows.unlink(fid, path);
+                }
+                self.dirty.mark_path(path);
                 let cf = self.coflows.get_mut(&coflow).expect("flow's coflow active");
                 let rec = cf
                     .flows
@@ -2204,20 +2271,18 @@ impl<'a, F: Fabric> Engine<'a, F> {
         }
     }
 
-    /// Adds `flows[pos]` to the link→flows index for every link on its
-    /// path. With `dedup`, skips links that already list the flow (a
-    /// rerouted path may share links with the stale entry's old path).
-    fn index_flow(&mut self, pos: usize, dedup: bool) {
-        let fid = self.flows[pos].id;
-        let path = self.hot.path[pos];
-        let arena = &self.arena;
-        let link_flows = &mut self.link_flows;
-        for l in arena.get(path) {
-            let list = &mut link_flows[l.index()];
-            if !dedup || !list.contains(&fid) {
-                list.push(fid);
-            }
+    /// Advances the stamp `link_mark` and `flow_mark` are compared
+    /// against. Before the counter would wrap, both arrays are zeroed
+    /// and it restarts at 1, so no stamp left from before the wrap can
+    /// match a new epoch.
+    fn next_mark_epoch(&mut self) -> u32 {
+        if self.mark_epoch == u32::MAX {
+            self.link_mark.fill(0);
+            self.flow_mark.fill(0);
+            self.mark_epoch = 0;
         }
+        self.mark_epoch += 1;
+        self.mark_epoch
     }
 
     /// Expands the dirty seed links into the full set of flow positions
@@ -2227,25 +2292,23 @@ impl<'a, F: Fabric> Engine<'a, F> {
     /// `comp_bounds` come back *grouped by connected component* (in
     /// deterministic seed-discovery order, each group sorted ascending
     /// by flow-table position) — the unit of both per-component
-    /// waterfilling and intra-run parallelism. Side effect: compacts
-    /// stale `link_flows` entries it walks over.
+    /// waterfilling and intra-run parallelism. Every listed flow is live
+    /// and unparked (see [`LinkFlows`]), so the walk validates nothing.
     fn collect_component(&mut self) {
         self.component.clear();
         self.comp_bounds.clear();
         self.comp_bounds.push(0);
-        self.mark_epoch += 1;
-        let epoch = self.mark_epoch;
         if self.flow_mark.len() < self.flows.len() {
             self.flow_mark.resize(self.flows.len(), 0);
         }
+        let epoch = self.next_mark_epoch();
         self.bfs_stack.clear();
-        // Split borrows: the BFS mutates the marks, its stack and the
-        // `link_flows` lists while reading the flow table.
-        let flows = &self.flows;
+        // Split borrows: the BFS mutates the marks and its stack while
+        // reading the index and the flow table.
         let paths = &self.hot.path;
         let flow_pos = &self.flow_pos;
         let arena = &self.arena;
-        let link_flows = &mut self.link_flows;
+        let link_flows = &self.link_flows;
         let flow_mark = &mut self.flow_mark;
         let link_mark = &mut self.link_mark;
         let stack = &mut self.bfs_stack;
@@ -2258,21 +2321,12 @@ impl<'a, F: Fabric> Engine<'a, F> {
             stack.push(seed);
             let start = component.len();
             while let Some(li) = stack.pop() {
-                // Take the adjacency list out so we can mutate marks
-                // while validating entries; put the compacted list back.
-                let mut list = std::mem::take(&mut link_flows[li]);
-                list.retain(|fid| {
-                    let Some(pos) = flow_pos.get(*fid) else {
-                        return false; // completed
-                    };
-                    let path = arena.get(paths[pos]);
-                    if flows[pos].parked || !path.iter().any(|l| l.index() == li) {
-                        return false; // parked or rerouted away
-                    }
+                for fid in link_flows.flows(li) {
+                    let pos = flow_pos.pos(fid);
                     if flow_mark[pos] != epoch {
                         flow_mark[pos] = epoch;
                         component.push(pos);
-                        for l in path {
+                        for l in arena.get(paths[pos]) {
                             let lj = l.index();
                             if link_mark[lj] != epoch {
                                 link_mark[lj] = epoch;
@@ -2280,9 +2334,7 @@ impl<'a, F: Fabric> Engine<'a, F> {
                             }
                         }
                     }
-                    true
-                });
-                link_flows[li] = list;
+                }
             }
             if component.len() > start {
                 // Ascending flow-table order within the component so its
@@ -2292,63 +2344,6 @@ impl<'a, F: Fabric> Engine<'a, F> {
             }
         }
         self.dirty.links.clear();
-    }
-
-    /// Full-pass variant of [`Engine::collect_component`]: every
-    /// unparked flow joins some component, grouped with the *same
-    /// canonical structure* an incremental pass would discover —
-    /// components ordered by their lowest member position, each group's
-    /// members ascending — so per-component waterfill order is
-    /// canonical regardless of how the pass was triggered, full passes
-    /// reuse the component fan-out, and forced-full runs match
-    /// incremental ones exactly (see DESIGN.md "Hot path &
-    /// complexity").
-    ///
-    /// Unlike the seed-link BFS, a full pass already knows its
-    /// membership (every unparked flow), so grouping needs no adjacency
-    /// lists, no per-entry `flow_pos` validation, and no sorting: three
-    /// linear sweeps over the flow table with an epoch-stamped
-    /// union-find keyed by each flow's own path. Flagship Gurita runs
-    /// make this the hot path — WRR starvation-mitigation weights shift
-    /// with queue loads, so most recomputations are weights-only passes,
-    /// which take this partition and then keep only the components a
-    /// weight change or a dirty link can move
-    /// ([`Engine::retain_moved_components`]).
-    ///
-    /// The partition depends only on the topology (which unparked flows
-    /// exist and which links their paths cross), never on disciplines,
-    /// weights, priorities, or capacities — so it is cached under
-    /// [`Engine::topo_gen`] and a discipline-only full pass reuses it
-    /// outright. Debug builds re-derive and compare on every hit, so
-    /// the equivalence suites would catch a missed `topo_gen` bump.
-    /// A cache miss, and every debug-build hit, restamps `link_mark`, so
-    /// a caller marks links only after this returns.
-    fn collect_full_components(&mut self) {
-        if self.full_gen == self.topo_gen {
-            self.component.clear();
-            self.component.extend_from_slice(&self.full_comp);
-            self.comp_bounds.clear();
-            self.comp_bounds.extend_from_slice(&self.full_bounds);
-            #[cfg(debug_assertions)]
-            {
-                let cached_comp = std::mem::take(&mut self.component);
-                let cached_bounds = std::mem::take(&mut self.comp_bounds);
-                self.compute_full_partition();
-                debug_assert_eq!(
-                    cached_comp, self.component,
-                    "stale full-partition cache: a topology mutation missed topo_gen"
-                );
-                debug_assert_eq!(
-                    cached_bounds, self.comp_bounds,
-                    "stale full-partition cache: a topology mutation missed topo_gen"
-                );
-            }
-            return;
-        }
-        self.compute_full_partition();
-        self.full_comp.clone_from(&self.component);
-        self.full_bounds.clone_from(&self.comp_bounds);
-        self.full_gen = self.topo_gen;
     }
 
     /// Weights-only pass filter over the full partition: keeps in
@@ -2364,10 +2359,9 @@ impl<'a, F: Fabric> Engine<'a, F> {
     /// completion-index entries, exactly as an incremental pass leaves an
     /// untouched component.
     fn retain_moved_components(&mut self) -> usize {
-        // Stamp the seeds only now: a partition cache miss re-runs the
-        // union-find, which reuses `link_mark` under its own epoch.
-        self.mark_epoch += 1;
-        let epoch = self.mark_epoch;
+        // The union-find stamped `link_mark` under its own epoch; the
+        // seeds take a fresh one.
+        let epoch = self.next_mark_epoch();
         for &li in &self.dirty.links {
             self.link_mark[li] = epoch;
         }
@@ -2400,13 +2394,29 @@ impl<'a, F: Fabric> Engine<'a, F> {
         ncomp - kept
     }
 
-    /// Derives the canonical full partition into `component` /
-    /// `comp_bounds` (see [`Engine::collect_full_components`]).
+    /// Full-pass variant of [`Engine::collect_component`]: every
+    /// unparked flow joins some component, grouped with the *same
+    /// canonical structure* an incremental pass would discover —
+    /// components ordered by their lowest member position, each group's
+    /// members ascending — so per-component waterfill order is
+    /// canonical regardless of how the pass was triggered, full passes
+    /// reuse the component fan-out, and forced-full runs match
+    /// incremental ones exactly (see DESIGN.md "Hot path &
+    /// complexity").
+    ///
+    /// Unlike the seed-link BFS, a full pass already knows its
+    /// membership (every unparked flow), so grouping needs no adjacency
+    /// lists and no sorting: three linear sweeps over the flow table
+    /// with an epoch-stamped union-find keyed by each flow's own path.
+    /// Flagship Gurita runs make this the hot path — WRR
+    /// starvation-mitigation weights shift with queue loads, so most
+    /// recomputations are weights-only passes, which take this
+    /// partition and then keep only the components a weight change or
+    /// a dirty link can move ([`Engine::retain_moved_components`]).
     fn compute_full_partition(&mut self) {
         let n = self.flows.len();
         debug_assert!(n < u32::MAX as usize, "flow positions fit u32");
-        self.mark_epoch += 1;
-        let epoch = self.mark_epoch;
+        let epoch = self.next_mark_epoch();
         // Sweep 1: union each flow with the flows sharing its links.
         // `link_owner[li]` caches a root position for link `li` this
         // epoch (validity gated by `link_mark`). Unions attach the
@@ -2567,7 +2577,7 @@ impl<'a, F: Fabric> Engine<'a, F> {
         // component, else the per-component loop, serial or fanned over
         // the pool — the same rates bit-for-bit either way.
         if full {
-            self.collect_full_components();
+            self.compute_full_partition();
             if weights_only {
                 let skipped = self.retain_moved_components();
                 if self.probe.on() {
@@ -2926,8 +2936,9 @@ impl<'a, F: Fabric> Engine<'a, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultEvent;
     use crate::sched::FifoScheduler;
-    use crate::topology::BigSwitch;
+    use crate::topology::{BigSwitch, FatTree};
     use gurita_model::{units::MB, CoflowSpec, FlowSpec, HostId, JobDag};
 
     #[test]
@@ -3658,5 +3669,225 @@ mod tests {
             StepOutcome::Drained
         );
         assert_eq!(engine.finish().jobs.len(), 2);
+    }
+
+    // ---- link→flow index and stamp wrap ----
+
+    /// WRR scheduler whose weights shift at every decision, as flagship
+    /// Gurita's starvation-mitigation weights do, so most recomputations
+    /// are weights-only passes over the full partition.
+    struct ShiftingWrr {
+        decisions: usize,
+    }
+
+    impl Scheduler for ShiftingWrr {
+        fn name(&self) -> String {
+            "shifting-wrr".into()
+        }
+        fn num_queues(&self) -> usize {
+            3
+        }
+        fn assign(&mut self, obs: &Observation, _oracle: &Oracle<'_>) -> Vec<usize> {
+            self.decisions += 1;
+            obs.coflows.iter().map(|c| c.job.index() % 3).collect()
+        }
+        fn queue_policy(&mut self, _obs: &Observation) -> QueuePolicy {
+            QueuePolicy::Weighted(vec![4.0 + (self.decisions % 5) as f64, 2.0, 1.0])
+        }
+    }
+
+    /// `n` two-stage jobs on the 16 hosts of a 4-pod fat-tree, arriving
+    /// 0.3 s apart; job 0's first flow leaves host 0.
+    fn index_workload(n: usize) -> Vec<JobSpec> {
+        (0..n)
+            .map(|i| {
+                let coflows = (0..2)
+                    .map(|c| {
+                        let flows = (0..3)
+                            .map(|j| {
+                                let src = (i + 5 * j + c) % 16;
+                                let dst = (src + 4 + (3 * j + i) % 11) % 16;
+                                let bytes = (1.0 + ((i + j + c) % 4) as f64) * MB;
+                                FlowSpec::new(HostId(src), HostId(dst), bytes)
+                            })
+                            .collect();
+                        CoflowSpec::new(flows)
+                    })
+                    .collect();
+                JobSpec::new(i, 0.3 * i as f64, coflows, JobDag::chain(2).unwrap()).unwrap()
+            })
+            .collect()
+    }
+
+    /// Runs `jobs` offline one step at a time, handing the engine to
+    /// `each` before the first step and after every step.
+    fn drive(
+        fabric: &FatTree,
+        jobs: Vec<JobSpec>,
+        sched: &mut dyn Scheduler,
+        faults: &FaultSchedule,
+        mut each: impl FnMut(&mut Engine<'_, FatTree>),
+    ) -> RunResult {
+        let config = SimConfig::default();
+        let mut plane = Centralized::new(sched);
+        let mut engine = Engine::new(fabric, &config, jobs, &mut plane, faults, None);
+        loop {
+            each(&mut engine);
+            if engine.step().unwrap() == StepOutcome::Drained {
+                break;
+            }
+        }
+        each(&mut engine);
+        engine.finish()
+    }
+
+    /// Link-hops of the live, unparked flows: what the index must hold.
+    fn live_flow_hops<F: Fabric>(engine: &Engine<'_, F>) -> usize {
+        (0..engine.flows.len())
+            .filter(|&pos| !engine.flows[pos].parked)
+            .map(|pos| engine.arena.get(engine.hot.path[pos]).len())
+            .sum()
+    }
+
+    /// Asserts that every link lists exactly the live, unparked flows
+    /// whose path crosses it.
+    fn assert_index_exact<F: Fabric>(engine: &Engine<'_, F>) {
+        let mut want = vec![Vec::new(); engine.fabric.num_links()];
+        for (pos, f) in engine.flows.iter().enumerate() {
+            if !f.parked {
+                for l in engine.arena.get(engine.hot.path[pos]) {
+                    want[l.index()].push(f.id.index());
+                }
+            }
+        }
+        for (li, want) in want.iter_mut().enumerate() {
+            let mut got: Vec<usize> = engine.link_flows.flows(li).map(|f| f.index()).collect();
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(&got, want, "link {li} at t = {}", engine.now);
+        }
+    }
+
+    /// Fails host 0's uplink (its flows park, then resume) and the core
+    /// uplinks of the aggregation switch above it (flows of pod 0
+    /// reroute through the other one), each for a while.
+    fn index_faults(fabric: &FatTree) -> FaultSchedule {
+        let paths: Vec<Vec<LinkId>> = (0..8)
+            .map(|salt| fabric.path(HostId(0), HostId(8), salt).unwrap())
+            .collect();
+        let uplink = paths[0][0];
+        let mut agg_core: Vec<LinkId> = paths
+            .iter()
+            .filter(|p| p[1] == paths[0][1])
+            .map(|p| p[2])
+            .collect();
+        agg_core.sort_unstable_by_key(|l| l.index());
+        agg_core.dedup();
+        let mut faults = FaultSchedule::new();
+        faults.push(1.0, FaultEvent::FailLink { link: uplink });
+        for &link in &agg_core {
+            faults.push(1.5, FaultEvent::FailLink { link });
+        }
+        faults.push(3.0, FaultEvent::RecoverLink { link: uplink });
+        for &link in &agg_core {
+            faults.push(6.0, FaultEvent::RecoverLink { link });
+        }
+        faults
+    }
+
+    #[test]
+    fn link_index_lists_exactly_the_live_unparked_flows() {
+        let fabric = FatTree::with_capacity(4, MB).unwrap();
+        let faults = index_faults(&fabric);
+        let mut fifo = FifoScheduler::new(1);
+        let mut wrr = ShiftingWrr { decisions: 0 };
+        for sched in [&mut fifo as &mut dyn Scheduler, &mut wrr] {
+            let mut cancelled = false;
+            let res = drive(&fabric, index_workload(12), sched, &faults, |e| {
+                if !cancelled && e.now >= 2.0 {
+                    // Job 0 holds a flow parked on host 0's dead uplink.
+                    let parked_in_job_0 = (0..e.flows.len()).any(|pos| {
+                        e.flows[pos].parked && e.coflows[&e.hot.coflow[pos]].job == JobId(0)
+                    });
+                    assert!(parked_in_job_0, "job 0 has no parked flow to cancel");
+                    assert!(e.cancel_job(JobId(0)));
+                    cancelled = true;
+                }
+                assert_index_exact(e);
+            });
+            assert_eq!(res.jobs_cancelled, 1);
+            assert!(res.flows_parked > 0 && res.flows_resumed > 0, "{res:?}");
+            assert!(res.flows_rerouted > 0, "no flow rerouted");
+        }
+    }
+
+    #[test]
+    fn link_index_empties_when_the_run_drains() {
+        // Regression for history-sized growth: dead entries used to stay
+        // listed until a BFS walked their link, and weights-only passes
+        // never walk. A drained engine must list nothing, and the slab
+        // never outgrows the peak live flow-hops.
+        let fabric = FatTree::with_capacity(4, MB).unwrap();
+        let (mut peak, mut total) = (0, 0);
+        let mut seen = HashSet::new();
+        let mut listed = usize::MAX;
+        let mut slab = 0;
+        let res = drive(
+            &fabric,
+            index_workload(40),
+            &mut ShiftingWrr { decisions: 0 },
+            &FaultSchedule::new(),
+            |e| {
+                peak = peak.max(live_flow_hops(e));
+                for pos in 0..e.flows.len() {
+                    if seen.insert(e.flows[pos].id) {
+                        total += e.arena.get(e.hot.path[pos]).len();
+                    }
+                }
+                listed = (0..fabric.num_links())
+                    .map(|li| e.link_flows.flows(li).count())
+                    .sum();
+                slab = e.link_flows.slab.len();
+            },
+        );
+        assert_eq!(res.jobs.len(), 40);
+        assert_eq!(listed, 0, "a drained engine still lists flows");
+        assert!(slab <= peak, "slab {slab} > peak live flow-hops {peak}");
+        assert!(2 * peak < total, "peak {peak} vs {total} flow-hops ever");
+    }
+
+    #[test]
+    fn stamp_wrap_leaves_results_unchanged() {
+        // The engine's mark epoch and its allocator's epoch start a few
+        // steps below `u32::MAX` and wrap early in the run; the result
+        // must equal a fresh engine's bit for bit (`{:?}` prints every
+        // f64 in its shortest round-trip form).
+        let fabric = FatTree::with_capacity(4, MB).unwrap();
+        let faults = index_faults(&fabric);
+        for wrr in [false, true] {
+            let run = |near_wrap: bool| {
+                let mut fifo = FifoScheduler::new(1);
+                let mut shifting = ShiftingWrr { decisions: 0 };
+                let sched: &mut dyn Scheduler = if wrr { &mut shifting } else { &mut fifo };
+                let (mut mark_wrapped, mut alloc_wrapped) = (false, false);
+                let res = drive(&fabric, index_workload(12), sched, &faults, |e| {
+                    if !near_wrap {
+                        return;
+                    }
+                    if e.events == 0 {
+                        e.mark_epoch = u32::MAX - 3;
+                        *e.allocator.epoch_mut() = u32::MAX - 3;
+                    } else {
+                        mark_wrapped |= e.mark_epoch < 1000;
+                        alloc_wrapped |= *e.allocator.epoch_mut() < 1000;
+                    }
+                });
+                if near_wrap {
+                    assert!(mark_wrapped && alloc_wrapped, "a counter never wrapped");
+                }
+                format!("{res:?}")
+            };
+            assert_eq!(run(true), run(false), "wrr = {wrr}");
+        }
     }
 }
