@@ -122,7 +122,6 @@ pub struct MetricsSink {
     alloc_full_passes: Arc<Gauge>,
     alloc_incremental_passes: Arc<Gauge>,
     alloc_parallel_epochs: Arc<Gauge>,
-    alloc_skipped_components: Arc<Gauge>,
     alloc_component_flows: Arc<Gauge>,
     alloc_touched_links: Arc<Gauge>,
     alloc_waterfill_passes: Arc<Gauge>,
@@ -249,10 +248,6 @@ impl MetricsSink {
                 "gurita_alloc_parallel_epochs",
                 "Cumulative recompute epochs fanned across the worker pool.",
             ),
-            alloc_skipped_components: g(
-                "gurita_alloc_skipped_components",
-                "Cumulative one-queue clean components left unrated by weights-only passes.",
-            ),
             alloc_component_flows: g(
                 "gurita_alloc_touched_flows",
                 "Cumulative flows re-rated across all recomputations.",
@@ -343,8 +338,6 @@ impl TelemetrySink for MetricsSink {
                     .set(s.alloc_incremental_passes as f64);
                 self.alloc_parallel_epochs
                     .set(s.alloc_parallel_epochs as f64);
-                self.alloc_skipped_components
-                    .set(s.alloc_skipped_components as f64);
                 self.alloc_component_flows
                     .set(s.alloc_component_flows as f64);
                 self.alloc_touched_links.set(s.alloc_touched_links as f64);
@@ -505,7 +498,6 @@ mod tests {
             active_flows: 10,
             alloc_full_passes: 3,
             alloc_incremental_passes: 9,
-            alloc_skipped_components: 17,
             ..Default::default()
         };
         sink.record(&TraceRecord::Epoch(s));
@@ -515,6 +507,5 @@ mod tests {
         assert_eq!(get("gurita_active_flows"), 10.0);
         assert_eq!(get("gurita_alloc_full_passes"), 3.0);
         assert_eq!(get("gurita_alloc_incremental_passes"), 9.0);
-        assert_eq!(get("gurita_alloc_skipped_components"), 17.0);
     }
 }

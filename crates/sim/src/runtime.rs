@@ -52,16 +52,11 @@ pub struct SimConfig {
     /// Disable component-incremental rate recomputation and re-waterfill
     /// every flow after every event, as the pre-incremental engine did.
     /// Off by default; useful as a safety valve and as the reference
-    /// behavior for equivalence tests. Full passes use the *same
-    /// canonical per-component semantics* as incremental ones: every
-    /// unparked flow is grouped into its connected flow↔link component
-    /// and each component is waterfilled independently, so the freeze
-    /// order inside a component never depends on how the pass was
-    /// triggered. (Before PR 9 a full pass was one merged waterfill,
-    /// whose `EPS`-slack stale-candidate recheck could couple freeze
-    /// order across independent components at exact floating-point ties
-    /// — incremental agreed with it only to ~1e-9 relative. The merged
-    /// path is gone; both modes now produce identical rates.)
+    /// behavior for equivalence tests. A full pass finds components with
+    /// the same seed-link BFS an incremental pass uses, seeded from
+    /// every unparked flow, and waterfills each component independently,
+    /// so the freeze order inside a component never depends on how the
+    /// pass was triggered and both modes produce identical rates.
     pub force_full_recompute: bool,
     /// Worker threads for intra-run parallel work: the disjoint
     /// flow↔link components of one recompute epoch — incremental *or*
@@ -286,16 +281,12 @@ impl Ord for FinishCand {
 
 /// Which rates the next recomputation must refresh. Events accumulate
 /// seed links (the links they touched); the recompute pass expands them
-/// to the affected flow↔link component(s). On a discipline change the
-/// pass starts from the full partition instead, and a weights-only pass
-/// still re-rates every component the seeds touch.
+/// to the affected flow↔link component(s) (see
+/// [`Engine::recompute_rates`] for the seeds of the other pass kinds).
 #[derive(Debug, Default)]
 struct DirtyRates {
     /// Anything to do at all?
     any: bool,
-    /// Recompute every flow (discipline/policy change or explicit
-    /// request); `links` is irrelevant when set.
-    full: bool,
     /// Seed link indices touched since the last recomputation
     /// (unsorted, may contain duplicates — the BFS dedups).
     links: Vec<usize>,
@@ -304,16 +295,12 @@ struct DirtyRates {
 impl DirtyRates {
     fn mark_path(&mut self, path: &[LinkId]) {
         self.any = true;
-        if !self.full {
-            self.links.extend(path.iter().map(|l| l.index()));
-        }
+        self.links.extend(path.iter().map(|l| l.index()));
     }
 
     fn mark_link(&mut self, l: LinkId) {
         self.any = true;
-        if !self.full {
-            self.links.push(l.index());
-        }
+        self.links.push(l.index());
     }
 }
 
@@ -536,19 +523,6 @@ const PAR_MIN_ADVANCE_FLOWS: usize = 1024;
 /// cache-line-sized tasks.
 const MIN_ADVANCE_CHUNK: usize = 256;
 
-/// Union-find `find` with path halving; indices are flow-table
-/// positions, roots satisfy `parent[x] == x`. Used by the full-pass
-/// component grouping (see [`Engine::compute_full_partition`]).
-#[inline]
-fn uf_find(parent: &mut [u32], mut x: u32) -> u32 {
-    while parent[x as usize] != x {
-        let grand = parent[parent[x as usize] as usize];
-        parent[x as usize] = grand;
-        x = grand;
-    }
-    x
-}
-
 /// Dense flow-id → flow-table position map. Flow ids are handed out
 /// densely by `Engine::next_flow_id`, so indexed slots beat a hash map
 /// on the hot lookups (completion validation, dirty-component walks,
@@ -681,6 +655,48 @@ impl LinkFlows {
     }
 }
 
+/// The *mixed* links — those whose live flows sit in two or more
+/// queues — as a sparse set: a dense list plus one slot per link.
+///
+/// A flow↔link component spans two or more queues if and only if it
+/// contains a mixed link (walk the component from a flow in one queue
+/// to a flow in another: some link on the way is shared by two flows in
+/// different queues), so these links seed every component a change of
+/// WRR weights can move. A link can only turn mixed or unmixed when a
+/// flow is linked to it, unlinked from it or changes queue, and each of
+/// those marks the link dirty; the engine re-checks exactly the dirty
+/// links at the start of every recomputation.
+#[derive(Debug)]
+struct MixedLinks {
+    /// Per link: slot + 1 of its entry in `list`; 0 = not mixed.
+    slot: Vec<u32>,
+    /// The mixed links, in no particular order.
+    list: Vec<u32>,
+}
+
+impl MixedLinks {
+    fn new(num_links: usize) -> Self {
+        Self {
+            slot: vec![0; num_links],
+            list: Vec::new(),
+        }
+    }
+
+    fn set(&mut self, li: usize, mixed: bool) {
+        let s = self.slot[li] as usize;
+        if mixed && s == 0 {
+            self.list.push(u32::try_from(li).expect("link ids fit u32"));
+            self.slot[li] = u32::try_from(self.list.len()).expect("link count fits u32");
+        } else if !mixed && s != 0 {
+            self.list.swap_remove(s - 1);
+            if let Some(&moved) = self.list.get(s - 1) {
+                self.slot[moved as usize] = s as u32;
+            }
+            self.slot[li] = 0;
+        }
+    }
+}
+
 /// What a stepping call observed about the engine's progress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepOutcome {
@@ -805,13 +821,14 @@ pub struct Engine<'a, F: Fabric> {
     // ---- hot-path scratch (reused across events; see DESIGN.md) ----
     /// Dense-array water-filling allocator, sized to the fabric.
     allocator: Allocator,
-    /// Discipline used by the previous recomputation. A change of queue
-    /// count forces a full pass; any other change is a weights-only pass,
-    /// which re-rates only the components that mix queues or touch a
-    /// dirty link (see [`Engine::retain_moved_components`]).
+    /// Discipline used by the previous recomputation (see
+    /// [`Engine::recompute_rates`] for the passes a change selects).
     last_discipline: Option<Discipline>,
     /// link index → the live, unparked flows whose path crosses it.
     link_flows: LinkFlows,
+    /// Links whose live flows sit in two or more queues, exact as of the
+    /// last recomputation for every link not marked dirty since.
+    mixed: MixedLinks,
     /// Epoch stamps for BFS visited-sets (avoid O(L)/O(F) clears);
     /// advanced by [`Engine::next_mark_epoch`], which handles the wrap.
     link_mark: Vec<u32>,
@@ -819,20 +836,6 @@ pub struct Engine<'a, F: Fabric> {
     mark_epoch: u32,
     /// BFS worklist of link indices (scratch).
     bfs_stack: Vec<usize>,
-    /// Full-pass union-find scratch: per-flow-position parent pointers
-    /// (see [`Engine::compute_full_partition`]).
-    uf_parent: Vec<u32>,
-    /// Full-pass scratch: link index → representative flow position of
-    /// the flows seen crossing it this epoch (valid iff `link_mark`
-    /// carries the current epoch).
-    link_owner: Vec<u32>,
-    /// Full-pass scratch: component sizes accumulated at union-find
-    /// roots, converted in place into the scatter cursors.
-    uf_counts: Vec<u32>,
-    /// Full-pass scratch: unparked flow positions in ascending order,
-    /// collected during the union sweep so the numbering and scatter
-    /// sweeps skip parked entries without touching cold flow state.
-    uf_live: Vec<u32>,
     /// Flow positions under recomputation, grouped by connected
     /// component: component `c` is `component[comp_bounds[c] ..
     /// comp_bounds[c + 1]]`, each group sorted ascending (scratch).
@@ -956,14 +959,11 @@ impl<'a, F: Fabric> Engine<'a, F> {
             allocator: Allocator::new(fabric.num_links()),
             last_discipline: None,
             link_flows: LinkFlows::new(fabric.num_links()),
+            mixed: MixedLinks::new(fabric.num_links()),
             link_mark: vec![0; fabric.num_links()],
             flow_mark: Vec::new(),
             mark_epoch: 0,
             bfs_stack: Vec::new(),
-            uf_parent: Vec::new(),
-            link_owner: vec![0; fabric.num_links()],
-            uf_counts: Vec::new(),
-            uf_live: Vec::new(),
             component: Vec::new(),
             comp_bounds: Vec::new(),
             rate_buf: Vec::new(),
@@ -2285,8 +2285,26 @@ impl<'a, F: Fabric> Engine<'a, F> {
         self.mark_epoch
     }
 
-    /// Expands the dirty seed links into the full set of flow positions
-    /// whose rate can change — the connected components of the
+    /// Re-checks, against the exact link index, whether each distinct
+    /// dirty link is mixed (see [`MixedLinks`]).
+    fn refresh_mixed_links(&mut self) {
+        let epoch = self.next_mark_epoch();
+        for &li in &self.dirty.links {
+            if self.link_mark[li] == epoch {
+                continue;
+            }
+            self.link_mark[li] = epoch;
+            let mut queues = self
+                .link_flows
+                .flows(li)
+                .map(|fid| self.flows[self.flow_pos.pos(fid)].queue);
+            let mixed = queues.next().is_some_and(|q0| queues.any(|q| q != q0));
+            self.mixed.set(li, mixed);
+        }
+    }
+
+    /// Expands the seed links in `dirty.links` into the full set of flow
+    /// positions whose rate can change — the connected components of the
     /// flow↔link bipartite graph containing any seed. Each seed that
     /// reaches unvisited links starts a fresh BFS, so `component` /
     /// `comp_bounds` come back *grouped by connected component* (in
@@ -2294,6 +2312,8 @@ impl<'a, F: Fabric> Engine<'a, F> {
     /// by flow-table position) — the unit of both per-component
     /// waterfilling and intra-run parallelism. Every listed flow is live
     /// and unparked (see [`LinkFlows`]), so the walk validates nothing.
+    /// This is the engine's only component discovery; each pass kind
+    /// differs only in its seeds (see [`Engine::recompute_rates`]).
     fn collect_component(&mut self) {
         self.component.clear();
         self.comp_bounds.clear();
@@ -2346,151 +2366,6 @@ impl<'a, F: Fabric> Engine<'a, F> {
         self.dirty.links.clear();
     }
 
-    /// Weights-only pass filter over the full partition: keeps in
-    /// `component` / `comp_bounds`, in canonical order, only the
-    /// components whose flows span two or more queues or whose links
-    /// include a dirty seed link, and returns how many it dropped.
-    ///
-    /// A dropped component sits in one queue, so its allocation never
-    /// reads the weights (see [`Allocator::allocate_into`]); and it
-    /// crosses no dirty link, so its flows, queues and capacities are
-    /// those it was last rated with. Its rates are therefore bitwise what
-    /// a re-rate would produce, and it keeps them, with their stamps and
-    /// completion-index entries, exactly as an incremental pass leaves an
-    /// untouched component.
-    fn retain_moved_components(&mut self) -> usize {
-        // The union-find stamped `link_mark` under its own epoch; the
-        // seeds take a fresh one.
-        let epoch = self.next_mark_epoch();
-        for &li in &self.dirty.links {
-            self.link_mark[li] = epoch;
-        }
-        let ncomp = self.comp_bounds.len() - 1;
-        let (mut start, mut len, mut kept) = (0, 0, 0);
-        for c in 0..ncomp {
-            // `comp_bounds[c + 1]` is read before any write reaches it:
-            // the write cursor `kept + 1` never passes `c + 1`.
-            let end = self.comp_bounds[c + 1];
-            let members = &self.component[start..end];
-            let q0 = self.flows[members[0]].queue;
-            let moved = members.iter().any(|&pos| {
-                self.flows[pos].queue != q0
-                    || self
-                        .arena
-                        .get(self.hot.path[pos])
-                        .iter()
-                        .any(|l| self.link_mark[l.index()] == epoch)
-            });
-            if moved {
-                self.component.copy_within(start..end, len);
-                len += end - start;
-                kept += 1;
-                self.comp_bounds[kept] = len;
-            }
-            start = end;
-        }
-        self.component.truncate(len);
-        self.comp_bounds.truncate(kept + 1);
-        ncomp - kept
-    }
-
-    /// Full-pass variant of [`Engine::collect_component`]: every
-    /// unparked flow joins some component, grouped with the *same
-    /// canonical structure* an incremental pass would discover —
-    /// components ordered by their lowest member position, each group's
-    /// members ascending — so per-component waterfill order is
-    /// canonical regardless of how the pass was triggered, full passes
-    /// reuse the component fan-out, and forced-full runs match
-    /// incremental ones exactly (see DESIGN.md "Hot path &
-    /// complexity").
-    ///
-    /// Unlike the seed-link BFS, a full pass already knows its
-    /// membership (every unparked flow), so grouping needs no adjacency
-    /// lists and no sorting: three linear sweeps over the flow table
-    /// with an epoch-stamped union-find keyed by each flow's own path.
-    /// Flagship Gurita runs make this the hot path — WRR
-    /// starvation-mitigation weights shift with queue loads, so most
-    /// recomputations are weights-only passes, which take this
-    /// partition and then keep only the components a weight change or
-    /// a dirty link can move ([`Engine::retain_moved_components`]).
-    fn compute_full_partition(&mut self) {
-        let n = self.flows.len();
-        debug_assert!(n < u32::MAX as usize, "flow positions fit u32");
-        let epoch = self.next_mark_epoch();
-        // Sweep 1: union each flow with the flows sharing its links.
-        // `link_owner[li]` caches a root position for link `li` this
-        // epoch (validity gated by `link_mark`). Unions attach the
-        // larger root under the smaller, so every root is its
-        // component's lowest member and `uf_counts` accumulates
-        // component sizes at the roots. Live positions are collected
-        // once (`uf_live`) so the later sweeps skip the parked checks.
-        self.uf_parent.clear();
-        self.uf_parent.extend(0..n as u32);
-        self.uf_counts.clear();
-        self.uf_counts.resize(n, 1);
-        self.uf_live.clear();
-        for pos in 0..n {
-            if self.flows[pos].parked {
-                continue;
-            }
-            self.uf_live.push(pos as u32);
-            // Unions only ever touch already-visited positions, so this
-            // flow is still its own root when first reached.
-            debug_assert_eq!(self.uf_parent[pos], pos as u32);
-            let mut root = pos as u32;
-            for l in self.arena.get(self.hot.path[pos]) {
-                let li = l.index();
-                if self.link_mark[li] == epoch {
-                    let other = uf_find(&mut self.uf_parent, self.link_owner[li]);
-                    if other != root {
-                        if other < root {
-                            self.uf_parent[root as usize] = other;
-                            self.uf_counts[other as usize] += self.uf_counts[root as usize];
-                            root = other;
-                        } else {
-                            self.uf_parent[other as usize] = root;
-                            self.uf_counts[root as usize] += self.uf_counts[other as usize];
-                        }
-                    }
-                    // Refresh the owner to the merged root: later flows
-                    // on this link then resolve it in O(1).
-                    self.link_owner[li] = root;
-                } else {
-                    self.link_mark[li] = epoch;
-                    self.link_owner[li] = root;
-                }
-            }
-        }
-        // Sweep 2: roots are exactly the positions still parenting
-        // themselves; scanning the live list ascending numbers
-        // components by lowest member with no `find` at all. Each
-        // root's count slot becomes its component's scatter cursor.
-        self.comp_bounds.clear();
-        self.comp_bounds.push(0);
-        let mut acc = 0usize;
-        for i in 0..self.uf_live.len() {
-            let pos = self.uf_live[i] as usize;
-            if self.uf_parent[pos] == pos as u32 {
-                let start = acc;
-                acc += self.uf_counts[pos] as usize;
-                self.uf_counts[pos] = start as u32;
-                self.comp_bounds.push(acc);
-            }
-        }
-        debug_assert_eq!(acc, self.uf_live.len());
-        // Sweep 3: scatter positions into their root's segment; the
-        // ascending scan keeps each group's members ascending.
-        self.component.clear();
-        self.component.resize(acc, 0);
-        for i in 0..self.uf_live.len() {
-            let pos = self.uf_live[i];
-            let root = uf_find(&mut self.uf_parent, pos) as usize;
-            let cur = self.uf_counts[root] as usize;
-            self.component[cur] = pos as usize;
-            self.uf_counts[root] = cur as u32 + 1;
-        }
-    }
-
     /// Drops invalidated completion-index entries once garbage dominates,
     /// keeping the heap O(live flows) without an O(log n) delete.
     fn rebuild_finish_heap(&mut self) {
@@ -2505,11 +2380,28 @@ impl<'a, F: Fabric> Engine<'a, F> {
         self.finish_heap = BinaryHeap::from(buf);
     }
 
+    /// Re-rates every flow whose rate the events since the last call can
+    /// have moved. Three pass kinds differ only in the seed links handed
+    /// to [`Engine::collect_component`]:
+    ///
+    /// - *incremental* (the discipline is unchanged): the dirty links;
+    /// - *weights-only* (the discipline changed but kept its queue
+    ///   count): the dirty links plus every mixed link. A component in
+    ///   one queue allocates without reading the weights (see
+    ///   [`Allocator::allocate_into`]), so if it crosses no dirty link
+    ///   its rates, stamps and completion-index entries stand, exactly
+    ///   as an incremental pass leaves an untouched component. The
+    ///   components that span two queues are exactly those holding a
+    ///   mixed link (see [`MixedLinks`]);
+    /// - *full* (first pass, a change of queue count, or
+    ///   [`SimConfig::force_full_recompute`]): the first link of each
+    ///   unparked flow in ascending position order, so every flow is
+    ///   re-rated and components come out ordered by their lowest
+    ///   member.
     fn recompute_rates(&mut self) {
-        let full_requested = self.dirty.full || self.config.force_full_recompute;
         self.dirty.any = false;
-        self.dirty.full = false;
         self.completion_generation += 1;
+        self.refresh_mixed_links();
         if self.flows.is_empty() {
             self.dirty.links.clear();
             return;
@@ -2531,15 +2423,9 @@ impl<'a, F: Fabric> Engine<'a, F> {
                 Discipline::WeightedRoundRobin { weights }
             }
         };
-        // A discipline change (e.g. WRR weights shifted) re-weights every
-        // flow everywhere: incremental seeds are insufficient, fall back
-        // to a full pass. If the queue count held and no full pass was
-        // requested, it is a weights-only pass: only components that mix
-        // queues or cross a dirty link are re-rated (see
-        // `retain_moved_components`).
         let changed = self.last_discipline.as_ref() != Some(&discipline);
-        let full = full_requested || changed;
-        let weights_only = !full_requested
+        let full = self.config.force_full_recompute || changed;
+        let weights_only = !self.config.force_full_recompute
             && changed
             && self
                 .last_discipline
@@ -2556,38 +2442,23 @@ impl<'a, F: Fabric> Engine<'a, F> {
         self.last_discipline = Some(discipline.clone());
         self.rate_stamp += 1;
         let stamp = self.rate_stamp;
-        if full {
-            // Parked flows may have been holding a nonzero entry from
-            // before parking in exotic orderings; pin them to zero as
-            // the pre-incremental engine did.
-            for pos in 0..self.flows.len() {
-                if !self.flows[pos].parked {
-                    continue;
-                }
-                let was_flowing = self.hot.rate[pos] > FLOWING_EPS;
-                self.hot.rate[pos] = 0.0;
-                self.flows[pos].stamp = stamp;
-                if was_flowing {
-                    let cid = self.hot.coflow[pos];
-                    self.coflow_rate_transition(cid, false);
-                }
-            }
+        if weights_only {
+            self.dirty
+                .links
+                .extend(self.mixed.list.iter().map(|&li| li as usize));
+        } else if full {
+            self.dirty.links.clear();
+            self.dirty.links.extend(
+                (0..self.flows.len())
+                    .filter(|&pos| !self.flows[pos].parked)
+                    .filter_map(|pos| self.arena.get(self.hot.path[pos]).first())
+                    .map(|l| l.index()),
+            );
         }
         // Component discovery, then allocation: one waterfill for a lone
         // component, else the per-component loop, serial or fanned over
         // the pool — the same rates bit-for-bit either way.
-        if full {
-            self.compute_full_partition();
-            if weights_only {
-                let skipped = self.retain_moved_components();
-                if self.probe.on() {
-                    self.probe.skipped_components += skipped as u64;
-                }
-            }
-            self.dirty.links.clear();
-        } else {
-            self.collect_component();
-        }
+        self.collect_component();
         if self.component.is_empty() {
             return;
         }
@@ -2876,7 +2747,6 @@ impl<'a, F: Fabric> Engine<'a, F> {
             alloc_waterfill_passes: self.last_alloc_passes,
             alloc_component_calls: self.probe.component_calls,
             alloc_parallel_epochs: self.probe.parallel_epochs,
-            alloc_skipped_components: self.probe.skipped_components,
         }
     }
 
@@ -3675,7 +3545,9 @@ mod tests {
 
     /// WRR scheduler whose weights shift at every decision, as flagship
     /// Gurita's starvation-mitigation weights do, so most recomputations
-    /// are weights-only passes over the full partition.
+    /// are weights-only passes. Each job starts in queue `job % 3`, and a
+    /// coflow is demoted one queue once it has received 1 MB, so live
+    /// flows change queue too.
     struct ShiftingWrr {
         decisions: usize,
     }
@@ -3689,7 +3561,10 @@ mod tests {
         }
         fn assign(&mut self, obs: &Observation, _oracle: &Oracle<'_>) -> Vec<usize> {
             self.decisions += 1;
-            obs.coflows.iter().map(|c| c.job.index() % 3).collect()
+            obs.coflows
+                .iter()
+                .map(|c| (c.job.index() % 3 + usize::from(c.bytes_received > MB)).min(2))
+                .collect()
         }
         fn queue_policy(&mut self, _obs: &Observation) -> QueuePolicy {
             QueuePolicy::Weighted(vec![4.0 + (self.decisions % 5) as f64, 2.0, 1.0])
@@ -3750,22 +3625,35 @@ mod tests {
     }
 
     /// Asserts that every link lists exactly the live, unparked flows
-    /// whose path crosses it.
+    /// whose path crosses it, and that the mixed-link set holds exactly
+    /// the links whose listed flows sit in two or more queues — for
+    /// every link not marked dirty since the last pass, which re-checks
+    /// the dirty ones.
     fn assert_index_exact<F: Fabric>(engine: &Engine<'_, F>) {
         let mut want = vec![Vec::new(); engine.fabric.num_links()];
         for (pos, f) in engine.flows.iter().enumerate() {
             if !f.parked {
                 for l in engine.arena.get(engine.hot.path[pos]) {
-                    want[l.index()].push(f.id.index());
+                    want[l.index()].push((f.id.index(), f.queue));
                 }
             }
         }
+        let dirty: HashSet<usize> = engine.dirty.links.iter().copied().collect();
         for (li, want) in want.iter_mut().enumerate() {
             let mut got: Vec<usize> = engine.link_flows.flows(li).map(|f| f.index()).collect();
             got.sort_unstable();
             want.sort_unstable();
-            assert_eq!(&got, want, "link {li} at t = {}", engine.now);
+            let ids: Vec<usize> = want.iter().map(|&(fid, _)| fid).collect();
+            assert_eq!(got, ids, "link {li} at t = {}", engine.now);
+            let slot = engine.mixed.slot[li] as usize;
+            assert!(slot == 0 || engine.mixed.list[slot - 1] as usize == li);
+            if !dirty.contains(&li) {
+                let mixed = want.iter().any(|&(_, q)| q != want[0].1);
+                assert_eq!(slot != 0, mixed, "mixed link {li} at t = {}", engine.now);
+            }
         }
+        let slots = engine.mixed.slot.iter().filter(|&&s| s != 0).count();
+        assert_eq!(engine.mixed.list.len(), slots);
     }
 
     /// Fails host 0's uplink (its flows park, then resume) and the core
@@ -3819,6 +3707,26 @@ mod tests {
             assert!(res.flows_parked > 0 && res.flows_resumed > 0, "{res:?}");
             assert!(res.flows_rerouted > 0, "no flow rerouted");
         }
+        // Each fault handler alone turns a link mixed or unmixed. Job
+        // `i` starts in queue `i % 3`. Job 2's flow leaves host 0 and
+        // parks (then resumes) beside job 0's on host 3's downlink; job
+        // 5's flows leave pod 0 and reroute off the aggregation links
+        // they share with job 3's, which stay in the pod.
+        let job = |id: usize, arrival: f64, src: usize, dst: usize, width: usize, bytes: f64| {
+            let flows = vec![FlowSpec::new(HostId(src), HostId(dst), bytes); width];
+            let dag = JobDag::chain(1).unwrap();
+            JobSpec::new(id, arrival, vec![CoflowSpec::new(flows)], dag).unwrap()
+        };
+        let jobs = vec![
+            job(0, 0.5, 1, 3, 1, 8.0 * MB),
+            job(2, 0.5, 0, 3, 1, 4.0 * MB),
+            job(3, 1.2, 1, 2, 4, 2.0 * MB),
+            job(5, 1.2, 1, 9, 4, 2.0 * MB),
+        ];
+        let mut wrr = ShiftingWrr { decisions: 0 };
+        let res = drive(&fabric, jobs, &mut wrr, &faults, |e| assert_index_exact(e));
+        assert!(res.flows_parked > 0 && res.flows_resumed > 0, "{res:?}");
+        assert!(res.flows_rerouted > 0, "no flow rerouted");
     }
 
     #[test]
@@ -3889,5 +3797,64 @@ mod tests {
             };
             assert_eq!(run(true), run(false), "wrr = {wrr}");
         }
+    }
+
+    #[test]
+    fn weights_only_pass_rerates_mixed_and_dirty_components() {
+        // Three components, each under one edge switch of a 4-pod
+        // fat-tree: job 0 alone (queue 0), jobs 1 and 2 on the same two
+        // links (queues 1 and 2, so both links are mixed), and job 3
+        // alone (queue 0) with one link marked dirty before the pass.
+        let fabric = FatTree::with_capacity(4, MB).unwrap();
+        let job =
+            |id: usize, src: usize| single_flow_job(id, 0.0, src, src + 1, (8 + id) as f64 * MB);
+        let jobs = vec![job(0, 0), job(1, 4), job(2, 4), job(3, 8)];
+        let config = SimConfig::default();
+        let mut sched = ShiftingWrr { decisions: 0 };
+        let mut plane = Centralized::new(&mut sched);
+        let faults = FaultSchedule::new();
+        let mut e = Engine::new(&fabric, &config, jobs, &mut plane, &faults, None);
+        while e.flows.len() < 4 {
+            e.step().unwrap();
+        }
+        let job_of =
+            |e: &Engine<'_, FatTree>, pos: usize| e.coflows[&e.hot.coflow[pos]].job.index();
+        let pos3 = (0..4).find(|&pos| job_of(&e, pos) == 3).unwrap();
+        e.dirty.mark_link(e.arena.get(e.hot.path[pos3])[0]);
+        let before = e.last_discipline.clone().unwrap();
+        e.reassign_priorities();
+        e.recompute_rates();
+        let after = e.last_discipline.clone().unwrap();
+        assert!(after != before && after.num_queues() == before.num_queues());
+        let mut rerated: Vec<usize> = e.component.iter().map(|&pos| job_of(&e, pos)).collect();
+        rerated.sort_unstable();
+        assert_eq!(
+            rerated,
+            [1, 2, 3],
+            "job 0's clean one-queue component was re-rated"
+        );
+        assert_eq!(e.comp_bounds.len(), 3, "two components");
+
+        // A whole run that takes such passes equals the run that
+        // re-rates every flow on every pass, bit for bit.
+        let faults = index_faults(&fabric);
+        let run = |force_full_recompute: bool| {
+            let config = SimConfig {
+                force_full_recompute,
+                ..SimConfig::default()
+            };
+            let mut sched = ShiftingWrr { decisions: 0 };
+            let mut plane = Centralized::new(&mut sched);
+            let e = Engine::new(
+                &fabric,
+                &config,
+                index_workload(12),
+                &mut plane,
+                &faults,
+                None,
+            );
+            format!("{:?}", e.run().unwrap())
+        };
+        assert_eq!(run(false), run(true));
     }
 }

@@ -361,7 +361,7 @@ pub struct EpochSample {
     pub alloc_waterfill_passes: u64,
     /// Cumulative `Allocator::allocate_into` calls, one per component
     /// re-rated: every component of a full pass, the components a
-    /// weights-only pass keeps (see `alloc_skipped_components`), the
+    /// weights-only pass reaches from its dirty and mixed links, the
     /// dirty components of an incremental pass. With
     /// `alloc_incremental_passes` this yields the mean component count
     /// per epoch — the available intra-run parallelism (see
@@ -373,13 +373,6 @@ pub struct EpochSample {
     /// dispatch threshold).
     #[serde(default)]
     pub alloc_parallel_epochs: u64,
-    /// Cumulative components a weights-only full pass left unrated: they
-    /// sit in one queue and cross no dirty link, so a change of WRR
-    /// weights cannot move their rates. Not counted in
-    /// `alloc_component_calls`; the two sum to the components the full
-    /// passes would otherwise have re-rated.
-    #[serde(default)]
-    pub alloc_skipped_components: u64,
 }
 
 /// Receives [`TraceRecord`]s from an instrumented run.
@@ -414,7 +407,6 @@ pub(crate) struct Probe<'a> {
     pub(crate) seed_links: u64,
     pub(crate) component_calls: u64,
     pub(crate) parallel_epochs: u64,
-    pub(crate) skipped_components: u64,
 }
 
 impl<'a> Probe<'a> {
@@ -429,7 +421,6 @@ impl<'a> Probe<'a> {
             seed_links: 0,
             component_calls: 0,
             parallel_epochs: 0,
-            skipped_components: 0,
         }
     }
 
@@ -979,7 +970,6 @@ mod tests {
             alloc_waterfill_passes: 2,
             alloc_component_calls: 6,
             alloc_parallel_epochs: 2,
-            alloc_skipped_components: 40,
         };
         for rec in [
             flow_start(0.25, 7),
@@ -1025,12 +1015,20 @@ mod tests {
                 t: 1.8,
                 active: true,
             },
-            TraceRecord::Epoch(sample),
+            TraceRecord::Epoch(sample.clone()),
         ] {
             let json = serde_json::to_string(&rec).unwrap();
             let back: TraceRecord = serde_json::from_str(&json).unwrap();
             assert_eq!(back, rec);
         }
+        // Samples recorded while weights-only passes still counted the
+        // components they skipped carry that counter; they still parse
+        // (unknown keys are ignored).
+        let json = serde_json::to_string(&TraceRecord::Epoch(sample.clone())).unwrap();
+        let legacy = json.replacen("{\"t\":", "{\"alloc_skipped_components\":40,\"t\":", 1);
+        assert_ne!(legacy, json);
+        let back: TraceRecord = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(back, TraceRecord::Epoch(sample));
     }
 
     #[test]
@@ -1060,7 +1058,6 @@ mod tests {
             alloc_waterfill_passes: 1,
             alloc_component_calls: 1,
             alloc_parallel_epochs: 0,
-            alloc_skipped_components: 0,
         }));
         assert_eq!(sink.events().count(), 1);
         assert_eq!(sink.samples().count(), 1);

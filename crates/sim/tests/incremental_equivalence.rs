@@ -24,7 +24,6 @@ use gurita_sim::faults::{FaultEvent, FaultSchedule};
 use gurita_sim::runtime::{SimConfig, Simulation};
 use gurita_sim::sched::{Assignment, FifoScheduler, Observation, Oracle, QueuePolicy, Scheduler};
 use gurita_sim::stats::RunResult;
-use gurita_sim::telemetry::{MemorySink, TelemetryConfig};
 use gurita_sim::topology::{Fabric, FatTree, LinkId};
 use proptest::prelude::*;
 
@@ -352,50 +351,4 @@ proptest! {
             check_equivalent(&inc, &full).unwrap_err()
         );
     }
-}
-
-/// The shifting-weight scheduler really reaches the weights-only skip:
-/// a traced default run leaves clean one-queue components unrated and
-/// still completes every job at the forced-full run's exact times.
-#[test]
-fn shifting_weights_skip_clean_one_queue_components() {
-    let draws: Vec<JobDraw> = (0..8)
-        .map(|i| {
-            let stages = vec![
-                (i, (5 * i + 3) % HOSTS, 1.0 + 0.3 * i as f64),
-                ((i + 7) % HOSTS, (3 * i + 1) % HOSTS, 2.0),
-            ];
-            (0.1 * i as f64, stages)
-        })
-        .collect();
-    let jobs = build_jobs(&draws);
-    let mut sim = Simulation::new(
-        slow_fabric(),
-        SimConfig {
-            telemetry: Some(TelemetryConfig::default()),
-            ..SimConfig::default()
-        },
-    );
-    let mut sink = MemorySink::new();
-    let traced = sim
-        .try_run(
-            jobs.clone(),
-            &mut Centralized::new(&mut shifting_wrr()),
-            &FaultSchedule::new(),
-            Some(&mut sink),
-        )
-        .expect("simulation failed");
-    let last = sink.samples().last().expect("armed run samples").clone();
-    assert!(
-        last.alloc_skipped_components > 0,
-        "no weights-only skip taken: {last:?}"
-    );
-    let full = run_with(
-        slow_fabric(),
-        &jobs,
-        &FaultSchedule::new(),
-        &mut shifting_wrr(),
-        true,
-    );
-    check_equivalent(&traced, &full).unwrap();
 }
