@@ -13,7 +13,7 @@
 
 use gurita_experiments::roster::SchedulerKind;
 use gurita_model::{HostId, JobSpec};
-use gurita_sim::faults::{FaultEvent, FaultSchedule};
+use gurita_sim::faults::{AgentCrash, ControlFaults, FaultEvent, FaultSchedule, PartitionWindow};
 use gurita_sim::runtime::{SimConfig, Simulation};
 use gurita_sim::stats::RunResult;
 use gurita_sim::topology::{Fabric, FatTree, LinkId};
@@ -73,13 +73,21 @@ fn run(
     faults: &FaultSchedule,
     force_full_recompute: bool,
 ) -> RunResult {
-    let mut sim = Simulation::new(
-        fabric,
-        SimConfig {
-            force_full_recompute,
-            ..SimConfig::default()
-        },
-    );
+    let config = SimConfig {
+        force_full_recompute,
+        ..SimConfig::default()
+    };
+    run_with(kind, fabric, jobs, faults, config)
+}
+
+fn run_with(
+    kind: SchedulerKind,
+    fabric: FatTree,
+    jobs: Vec<JobSpec>,
+    faults: &FaultSchedule,
+    config: SimConfig,
+) -> RunResult {
+    let mut sim = Simulation::new(fabric, config);
     let mut plane = kind.build_plane();
     sim.try_run(jobs, plane.as_mut(), faults, None).unwrap()
 }
@@ -177,6 +185,82 @@ fn gurita_forced_full_digest() {
     assert_eq!(
         digest(&res),
         0x9805_1c31_ec5f_0485,
+        "{:#018x}",
+        digest(&res)
+    );
+}
+
+/// Gurita under the decentralized plane with a 5 ms control latency:
+/// every table reaches the hosts through a delayed control timer, so
+/// the hosts act on stale priorities between deliveries.
+#[test]
+fn gurita_local_delayed_digest() {
+    let res = run_with(
+        SchedulerKind::GuritaLocal,
+        FatTree::new(8).unwrap(),
+        bursty_jobs(30, 7),
+        &FaultSchedule::new(),
+        SimConfig {
+            control_latency: 5e-3,
+            ..SimConfig::default()
+        },
+    );
+    assert_eq!(res.jobs.len(), 30);
+    assert_eq!(
+        digest(&res),
+        0x95a5_9487_9847_25ff,
+        "{:#018x}",
+        digest(&res)
+    );
+}
+
+/// Aalo under the decentralized plane with a lossy control channel, an
+/// agent that crashes and restarts, and a coordinator partition. The
+/// partition outlasts the staleness bound, so hosts fall back to
+/// deciding from their own flows.
+#[test]
+fn aalo_local_control_faults_digest() {
+    let faults = ControlFaults {
+        drop_prob: 0.2,
+        duplicate_prob: 0.1,
+        reorder_prob: 0.1,
+        reorder_delay: 2e-3,
+        seed: 5,
+        staleness_bound: 0.05,
+        crashes: vec![AgentCrash {
+            host: HostId(3),
+            at: 0.1,
+            restart_after: Some(0.3),
+        }],
+        partitions: vec![PartitionWindow {
+            start: 0.6,
+            duration: 0.3,
+        }],
+        ..ControlFaults::default()
+    };
+    let res = run_with(
+        SchedulerKind::AaloLocal,
+        FatTree::new(8).unwrap(),
+        bursty_jobs(30, 11),
+        &FaultSchedule::new(),
+        SimConfig {
+            control_latency: 1e-3,
+            control_faults: Some(faults),
+            ..SimConfig::default()
+        },
+    );
+    assert_eq!(res.jobs.len(), 30);
+    assert_eq!(res.control.agent_crashes, 1);
+    assert_eq!(res.control.agent_restarts, 1);
+    assert_eq!(res.control.partitions, 1);
+    assert!(res.control.messages_dropped > 0);
+    assert!(
+        res.control.degraded_entries > 0,
+        "no host fell back to local decisions"
+    );
+    assert_eq!(
+        digest(&res),
+        0x549d_fae4_a4d5_2f43,
         "{:#018x}",
         digest(&res)
     );
