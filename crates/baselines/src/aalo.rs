@@ -7,16 +7,18 @@
 //! queues as the count grows. Following the paper's evaluation setup,
 //! "Aalo's additional delay from managing centralized system is not
 //! considered … information on job is made available instantaneously to
-//! the centralized controller": our Aalo reads exact per-coflow sent
-//! bytes from the oracle (sent = size − remaining) and re-prioritizes
-//! live flows freely.
+//! the centralized controller": centralized, our Aalo sees every flow's
+//! sent bytes at once and re-prioritizes live flows freely. D-CLAS needs
+//! no prior knowledge, so it ranks from the observed bytes alone and
+//! never reads the oracle; the same scheduler therefore also runs under
+//! the decentralized control plane (`aalo@local`), where it sees only
+//! what the hosts observe.
 //!
 //! Aalo schedules at coflow granularity: each coflow of a multi-stage
 //! job re-enters the highest queue when it starts — its *own* bytes
 //! reset, but the coordinator has no notion of per-stage blocking,
 //! width, or critical path, which is where Gurita differentiates.
 
-use gurita_sim::control::{HostAgent, PriorityTable};
 use gurita_sim::sched::{Observation, Oracle, Scheduler};
 use gurita_sim::thresholds::ThresholdLadder;
 
@@ -43,7 +45,7 @@ impl Default for AaloConfig {
     }
 }
 
-/// The Aalo (D-CLAS) scheduler with an instantaneous global view.
+/// The Aalo (D-CLAS) scheduler.
 #[derive(Debug)]
 pub struct Aalo {
     config: AaloConfig,
@@ -89,83 +91,15 @@ impl Scheduler for Aalo {
         true // central coordinator updates priorities everywhere
     }
 
-    fn assign(&mut self, obs: &Observation, oracle: &Oracle<'_>) -> Vec<usize> {
+    fn assign(&mut self, obs: &Observation, _oracle: &Oracle<'_>) -> Vec<usize> {
         obs.coflows
             .iter()
             .map(|c| {
-                // Exact sent bytes per coflow from the global view:
-                // Σ (size − remaining) over its flows. Falls back to the
-                // receiver-observed count when oracle data is missing
-                // (completed flows have already been delivered in full).
-                let sent: f64 = c
-                    .flows
-                    .iter()
-                    .map(
-                        |f| match (oracle.flow_size(f.id), oracle.remaining_bytes(f.id)) {
-                            (Some(size), Some(rem)) => size - rem,
-                            _ => f.bytes_received,
-                        },
-                    )
-                    .sum();
-                self.ladder.queue_for(sent)
-            })
-            .collect()
-    }
-}
-
-/// Aalo as a [`HostAgent`] (reported as `aalo@local`) — D-CLAS from
-/// receiver-observed bytes alone, no oracle.
-///
-/// The centralized [`Aalo`] reads exact sent bytes from the oracle as
-/// `size − remaining`; the runtime computes each flow's observed
-/// `bytes_received` as the *same* subtraction, so ranking coflows by the
-/// sum of their flows' observed bytes is bitwise identical — which is
-/// what makes the `control_latency == 0` identity test possible. This
-/// agent is therefore Aalo with the clairvoyance crutch removed: it
-/// decides purely from what the hosts report.
-#[derive(Debug)]
-pub struct AaloAgent {
-    config: AaloConfig,
-    ladder: ThresholdLadder,
-}
-
-impl AaloAgent {
-    /// Creates the agent.
-    ///
-    /// # Panics
-    ///
-    /// Same validation as [`Aalo::new`].
-    pub fn new(config: AaloConfig) -> Self {
-        let inner = Aalo::new(config);
-        Self {
-            config: inner.config,
-            ladder: inner.ladder,
-        }
-    }
-}
-
-impl HostAgent for AaloAgent {
-    fn name(&self) -> String {
-        "aalo@local".to_owned()
-    }
-
-    fn num_queues(&self) -> usize {
-        self.config.num_queues
-    }
-
-    fn reprioritizes_live_flows(&self) -> bool {
-        true // D-CLAS demotes and promotes live coflows alike
-    }
-
-    fn decide(&mut self, merged: &Observation, _oracle: &Oracle<'_>) -> PriorityTable {
-        merged
-            .coflows
-            .iter()
-            .map(|c| {
-                // Same per-flow accumulation order as the centralized
-                // assign, over observed bytes instead of oracle state.
+                // The coflow's sent bytes, Σ over its flows of the bytes
+                // received. The runtime observes an open flow's bytes as
+                // size − remaining, so this is the exact count.
                 let sent: f64 = c.flows.iter().map(|f| f.bytes_received).sum();
-                (c.id, self.ladder.queue_for(sent))
+                self.ladder.queue_for(sent)
             })
             .collect()
     }
@@ -253,9 +187,9 @@ mod tests {
     }
 
     #[test]
-    fn agent_ranks_like_the_centralized_ladder() {
+    fn ranks_by_observed_bytes_under_the_denying_oracle() {
         use gurita_sim::sched::{CoflowObs, FlowObs};
-        let mut agent = AaloAgent::new(AaloConfig::default());
+        let mut aalo = Aalo::new(AaloConfig::default());
         let obs = Observation {
             now: 1.0,
             coflows: vec![
@@ -270,6 +204,7 @@ mod tests {
                     max_flow_bytes_received: 50.0 * MB,
                     flows: vec![FlowObs {
                         id: gurita_model::FlowId(0),
+                        src: HostId(0),
                         bytes_received: 50.0 * MB,
                         open: true,
                     }],
@@ -285,6 +220,7 @@ mod tests {
                     max_flow_bytes_received: 1.0 * MB,
                     flows: vec![FlowObs {
                         id: gurita_model::FlowId(1),
+                        src: HostId(1),
                         bytes_received: 1.0 * MB,
                         open: true,
                     }],
@@ -293,10 +229,10 @@ mod tests {
             jobs: Vec::new(),
         };
         // The denying oracle must never be touched.
-        let table = agent.decide(&obs, &Oracle::deny());
-        assert_eq!(table.len(), 2);
-        let elephant = table[0].1;
-        let mouse = table[1].1;
+        let queues = aalo.assign(&obs, &Oracle::deny());
+        assert_eq!(queues.len(), 2);
+        let elephant = queues[0];
+        let mouse = queues[1];
         assert!(
             mouse < elephant,
             "D-CLAS demotes by sent bytes: mouse q{mouse} vs elephant q{elephant}"

@@ -24,9 +24,10 @@
 //! * [`starvation`] — SPQ emulation via WRR with waiting-time-derived
 //!   weights (Kleinrock priority-queue formulas);
 //! * [`scheduler`] — [`scheduler::GuritaScheduler`], the deployable
-//!   decentralized scheduler (Least-Blocking-Effect-First, Algorithm 1);
-//! * [`local`] — [`local::GuritaAgent`], the same scheme behind the
-//!   host-agent interface of the decentralized control plane;
+//!   decentralized scheduler (Least-Blocking-Effect-First, Algorithm 1).
+//!   It never reads the oracle, so the same scheduler runs under either
+//!   control plane of `gurita_sim::control`: wrapped in `Centralized`,
+//!   or as the head and per-host schedulers of `Decentralized`;
 //! * [`plus`] — [`plus::GuritaPlus`], the idealized variant with exact
 //!   per-stage information ahead of time (the paper's Figure 8 oracle).
 //!
@@ -62,7 +63,6 @@ pub mod ava;
 pub mod blocking;
 pub mod flowtable;
 pub mod hr;
-pub mod local;
 pub mod plus;
 pub mod rules;
 pub mod scheduler;

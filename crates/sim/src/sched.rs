@@ -28,7 +28,7 @@
 //! schedulers must not touch it; the split makes each scheme's
 //! information usage explicit and auditable.
 
-use gurita_model::{CoflowId, FlowId, JobId, JobSpec};
+use gurita_model::{CoflowId, FlowId, HostId, JobId, JobSpec};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -37,6 +37,9 @@ use std::sync::OnceLock;
 pub struct FlowObs {
     /// The flow's identifier.
     pub id: FlowId,
+    /// The sending host: a receiver sees the sender of its connection.
+    /// The decentralized control plane narrows observations by it.
+    pub src: HostId,
     /// Bytes received so far.
     pub bytes_received: f64,
     /// Whether the connection is still open (the flow is active).
@@ -97,8 +100,8 @@ pub struct JobObs {
     pub bytes_received: f64,
     /// Bytes received by the job's already-completed coflows — the part
     /// of [`JobObs::bytes_received`] not attributable to the active
-    /// coflows. Exposed so partial (per-host) views can be re-merged
-    /// into a cluster-wide view without double counting.
+    /// coflows. Exposed so a view narrowed to some hosts' flows can
+    /// re-add the job's total from its kept coflows.
     pub completed_bytes: f64,
     /// Indexes into [`Observation::coflows`] of this job's active coflows.
     pub active_coflows: Vec<usize>,
@@ -171,7 +174,7 @@ impl<'a> Oracle<'a> {
 
     /// An oracle that panics on any access.
     ///
-    /// The decentralized control plane hands this to host agents: a
+    /// The decentralized control plane hands this to its schedulers: a
     /// scheme that claims to run from local observations but reaches for
     /// clairvoyant state trips the panic immediately instead of silently
     /// cheating. The panic (rather than `None` answers) makes the
@@ -423,11 +426,13 @@ mod tests {
             flows: vec![
                 FlowObs {
                     id: FlowId(0),
+                    src: HostId(0),
                     bytes_received: 8.0,
                     open: true,
                 },
                 FlowObs {
                     id: FlowId(1),
+                    src: HostId(1),
                     bytes_received: 2.0,
                     open: true,
                 },
