@@ -341,15 +341,20 @@ pub struct EpochSample {
     pub pending_control_updates: usize,
     /// Links currently degraded or failed by the fault overlay.
     pub degraded_links: usize,
-    /// Cumulative full-pass rate recomputations (discipline changes,
-    /// weights-only passes included, or `force_full_recompute`).
+    /// Cumulative full-pass rate recomputations, which re-rate every
+    /// flow: the first pass, a change of queue count, or every pass
+    /// under `force_full_recompute`.
     pub alloc_full_passes: u64,
-    /// Cumulative incremental (dirty-component) recomputations.
+    /// Cumulative recomputations seeded from some links only:
+    /// incremental passes (the dirty links) and weights-only passes (a
+    /// discipline change that keeps the queue count: the dirty and the
+    /// mixed links).
     pub alloc_incremental_passes: u64,
     /// Cumulative flows re-rated across all recomputations — the
     /// incremental BFS component sizes, summed.
     pub alloc_component_flows: u64,
-    /// Cumulative dirty seed links consumed by incremental passes.
+    /// Cumulative seed links of the passes counted in
+    /// `alloc_incremental_passes`.
     pub alloc_seed_links: u64,
     /// Distinct links touched by the most recent recompute epoch,
     /// summed over its per-component allocator calls in component-index
