@@ -7,8 +7,8 @@
 //! regardless of scheduling. Built on `std::thread::scope` — no
 //! thread-pool dependency.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Resolves a `--par` setting: `0` means "one worker per available
 /// core", anything else is taken literally.
@@ -47,12 +47,13 @@ where
                     break;
                 }
                 let r = f(i);
-                slots.lock()[i] = Some(r);
+                slots.lock().expect("no cell panics holding the lock")[i] = Some(r);
             });
         }
     });
     slots
         .into_inner()
+        .expect("no cell panics holding the lock")
         .into_iter()
         .map(|r| r.expect("every cell produced a result"))
         .collect()

@@ -5,6 +5,7 @@
 //! under every requested scheduler so that differences in the results
 //! are attributable to scheduling alone.
 
+use crate::par::par_run;
 use crate::roster::SchedulerKind;
 use gurita_model::JobSpec;
 use gurita_sim::faults::{ControlFaults, FaultSchedule};
@@ -15,7 +16,6 @@ use gurita_sim::topology::FatTree;
 use gurita_workload::arrivals::ArrivalProcess;
 use gurita_workload::dags::StructureKind;
 use gurita_workload::generator::{JobGenerator, WorkloadConfig};
-use parking_lot::Mutex;
 
 /// One evaluation scenario.
 #[derive(Debug, Clone)]
@@ -153,10 +153,9 @@ impl Scenario {
     }
 
     /// Replays the byte-identical workload under every scheduler,
-    /// returning results in `kinds` order. Runs are spread across
-    /// threads (scoped; results collected through a mutex) — on a
-    /// single-core host this degrades gracefully to sequential
-    /// execution.
+    /// returning results in `kinds` order. Runs are spread across one
+    /// worker per core ([`par_run`]); on a single-core host they run
+    /// sequentially.
     pub fn run_all(&self, kinds: &[SchedulerKind]) -> Vec<RunResult> {
         self.run_all_with_faults(kinds, &FaultSchedule::new())
     }
@@ -170,23 +169,9 @@ impl Scenario {
         faults: &FaultSchedule,
     ) -> Vec<RunResult> {
         let jobs = self.jobs();
-        let slots: Mutex<Vec<Option<RunResult>>> = Mutex::new(vec![None; kinds.len()]);
-        crossbeam::scope(|scope| {
-            for (i, &kind) in kinds.iter().enumerate() {
-                let jobs = jobs.clone();
-                let slots = &slots;
-                scope.spawn(move |_| {
-                    let result = self.run_with_jobs(kind, jobs, faults, None);
-                    slots.lock()[i] = Some(result);
-                });
-            }
+        par_run(0, kinds.len(), |i| {
+            self.run_with_jobs(kinds[i], jobs.clone(), faults, None)
         })
-        .expect("scenario worker panicked");
-        slots
-            .into_inner()
-            .into_iter()
-            .map(|r| r.expect("every scheduler produced a result"))
-            .collect()
     }
 }
 
