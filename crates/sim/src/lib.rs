@@ -18,11 +18,12 @@
 //!   scheduler observes the system (receiver-side observations plus an
 //!   explicit oracle side channel for centralized/clairvoyant schemes) and
 //!   assigns priorities;
-//! * [`control`] — the control-plane layering: [`control::Centralized`]
-//!   (wraps any scheduler, instantaneous global view) vs
-//!   [`control::Decentralized`] (per-host [`control::HostAgent`]s over
-//!   [`control::LocalObservation`]s, with priority updates propagated
-//!   through the event loop after a configurable latency);
+//! * [`control`] — the control-plane layering around one
+//!   [`sched::Scheduler`]: [`control::Centralized`] (instantaneous
+//!   global view plus the oracle) vs [`control::Decentralized`] (the
+//!   same scheduler deciding from what the live sender hosts observe,
+//!   under a denying oracle, with priority updates propagated through
+//!   the event loop after a configurable latency);
 //! * [`runtime`] — the event loop driving jobs through their coflow DAGs;
 //! * [`stats`] — per-job/per-coflow completion records;
 //! * [`telemetry`] — opt-in instrumentation: lifecycle event tracing,
